@@ -7,6 +7,9 @@ here exploits that structure: any entry is ``a**(n-d) * (1-a)**d`` where d is
 the Hamming distance between the row and column indices read as bit strings,
 so the full 2^n x 2^n matrix never needs to exist to evaluate one entry, and
 the matrix inverse is the same construction at parameter ``a / (2a - 1)``.
+Applying the matrix to a vector is :func:`apply_kernel`, one 2x2 pass per bit
+axis; the dense :func:`materialize` serves only the ``matrix`` command, the
+brute-force covariance and test oracles.
 
 Index convention: bit i of a record carries index weight 2**i (the record
 (1, 0, 1) is cell 5).  Entries depend only on Hamming distance, so this choice
@@ -85,6 +88,25 @@ def materialize(a: float, n: int, cap: int | None = None) -> np.ndarray:
             grown[i + len(rows)] = flip + keep
         rows = grown
     return np.array(rows, dtype=np.float64)
+
+
+def apply_kernel(v: np.ndarray, same: float, other: float) -> np.ndarray:
+    """Apply the k-fold Kronecker power of [[same, other], [other, same]] to v.
+
+    k is read from ``v.size``, which must be a power of two.  The kernel is
+    applied one bit axis at a time, O(k 2^k) work with no 2^k x 2^k matrix:
+    (a, 1-a) is the forward channel, (ai, 1-ai) with ai the inverse parameter
+    its exact inverse, and any other pair of reals is accepted.
+    """
+    t = np.array(v, dtype=np.float64).reshape(-1)
+    if t.size == 0 or t.size & (t.size - 1):
+        raise ValueError(f"vector length must be a power of two, got {t.size}")
+    for axis in range(t.size.bit_length() - 1):
+        # the middle index of this view is bit `axis` (weight 2**axis)
+        pairs = t.reshape(-1, 2, 1 << axis)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        t = np.stack((same * lo + other * hi, other * lo + same * hi), axis=1)
+    return t.reshape(-1)
 
 
 def entry_at(a: float, n: int, r: int, x: int) -> float:

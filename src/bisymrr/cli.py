@@ -260,8 +260,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "seeded experiment datasets."
         ),
         epilog=(
-            f"The dense-matrix width cap (default {dense_cap()}) can be "
-            f"overridden via {DENSE_CAP_ENV}."
+            f"estimate always applies the channel inverse as a per-axis "
+            f"kernel pass and has no width cap; the dense-matrix width cap "
+            f"(default {dense_cap()}, overridden via {DENSE_CAP_ENV}) governs "
+            f"only matrix and the library's dense covariance."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,9 +1,13 @@
 """Unbiased marginal estimation from randomized corpora, and its cost.
 
 Pipeline: count the observed k-bit patterns over the queried positions, then
-multiply the frequency vector by the inverse flip matrix.  Because the channel
+apply the inverse flip matrix to the frequency vector.  Because the channel
 factorizes per bit, the same inverse kernel applies to any subset of bits, so
-a k-way marginal only ever needs the width-k inverse, never the width-n one.
+a k-way marginal only ever needs the width-k inverse, never the width-n one,
+and :func:`estimate` always applies it as the structured per-axis pass of
+:func:`~bisymrr.channel.apply_kernel` in O(k 2^k), at every width.  The dense
+width cap governs only :func:`~bisymrr.channel.materialize` (the ``matrix``
+command) and the brute-force :func:`covariance`.
 
 The estimate is exactly unbiased but costs variance.  The closed forms below
 quantify that cost: the covariance trace of the estimator is (c - s) / m with
@@ -11,7 +15,9 @@ c = ((a^2 + (1-a)^2) / (2a - 1)^2)^n and s the sum of squared cell
 probabilities, so the sample-size inflation relative to an un-randomized
 survey is L = (c - s) / (1 - s).  ``loss`` reports L alongside two
 π-free stand-ins for the unknown s: the floor at s = 2^-n and the mean of s
-under a uniformly random π (flat Dirichlet), s = 2/(2^n + 1).
+under a uniformly random π (flat Dirichlet), s = 2/(2^n + 1).  The per-cell
+variances behind that trace come from one more kernel pass, in
+:func:`estimate_variance`.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import dense_cap, inverse_parameter, materialize
+from .channel import apply_kernel, inverse_parameter, materialize
 from .errors import DegenerateDistributionError, SingularChannelError, WidthCapError
 from .randomizer import ResponseCorpus
 
@@ -80,18 +86,13 @@ def marginal_histogram(corpus: ResponseCorpus, positions: Sequence[int]) -> Hist
 
 
 def _inverse_kernel_pass(v: np.ndarray, a: float, k: int) -> np.ndarray:
-    """Apply the width-k inverse flip matrix to v one bit at a time.
+    """Apply the width-k inverse flip matrix to v (k = log2 of v.size).
 
-    O(k 2^k) instead of materializing 4^k entries; used above the dense cap.
+    Kept as a named step of :func:`estimate` so ``bench/launcher.py`` can time
+    the kernel pass on its own; it reads k from the third argument.
     """
     ai = inverse_parameter(a)
-    bi = 1.0 - ai
-    t = v.reshape([2] * k) if k else v
-    for axis in range(k):
-        lo = np.take(t, 0, axis=axis)
-        hi = np.take(t, 1, axis=axis)
-        t = np.stack((ai * lo + bi * hi, bi * lo + ai * hi), axis=axis)
-    return t.reshape(-1)
+    return apply_kernel(v, ai, 1.0 - ai)
 
 
 def estimate(h: Histogram | np.ndarray, a: float) -> np.ndarray:
@@ -106,11 +107,28 @@ def estimate(h: Histogram | np.ndarray, a: float) -> np.ndarray:
     if m == 0:
         raise ValueError("empty corpus: cannot estimate from zero records")
     k = int(counts.size).bit_length() - 1
-    freq = counts / m
-    if k > dense_cap():
-        return _inverse_kernel_pass(freq, a, k)
-    inv = materialize(inverse_parameter(a), k)
-    return inv @ freq
+    return _inverse_kernel_pass(counts / m, a, k)
+
+
+def estimate_variance(q: np.ndarray, pi: np.ndarray, a: float, m: int) -> np.ndarray:
+    """Per-cell variances of :func:`estimate` over m randomized records.
+
+    ``q`` is the distribution of randomized responses (C pi; the observed
+    frequencies serve as a plug-in) and ``pi`` the marginal being estimated
+    (or its estimate).  The variances are the diagonal of the covariance,
+    m^-1 ((C^-1 ∘ C^-1) q - pi^2), and the element-wise square of the inverse
+    is the Kronecker power of the squared kernel [[ai^2, bi^2], [bi^2, ai^2]],
+    so this is one more kernel pass.  They sum to :func:`cov_trace_closed_form`.
+    """
+    q = np.asarray(q, dtype=np.float64).reshape(-1)
+    pi = np.asarray(pi, dtype=np.float64).reshape(-1)
+    if q.shape != pi.shape:
+        raise ValueError(f"q has {q.size} cells but pi has {pi.size}")
+    if m < 1:
+        raise ValueError(f"sample count must be positive, got {m}")
+    ai = inverse_parameter(a)
+    bi = 1.0 - ai
+    return (apply_kernel(q, ai * ai, bi * bi) - pi * pi) / m
 
 
 def direct_covariance(pi: np.ndarray, m: int) -> np.ndarray:

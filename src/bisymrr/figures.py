@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import materialize
+from .channel import apply_kernel
 from .estimator import efficiency_loss, estimate, trace_constant
 from .privacy import a_for_epsilon
 from .randomizer import (
@@ -151,8 +151,7 @@ def figure_1a(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     c = trace_constant(a, cfg.n)
     loss_flat = efficiency_loss(2.0 / (cells + 1), c)
     m_scaled = math.ceil(loss_flat * cfg.m)
-    chan = materialize(a, cfg.n)
-    mixed = chan @ pi
+    mixed = apply_kernel(pi, a, 1.0 - a)
 
     columns = ["trial", "estimator", "m"] + [f"cell_{p}" for p in _cell_labels(cfg.n)]
     rows: list[list] = []

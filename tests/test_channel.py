@@ -5,14 +5,20 @@ from hypothesis import strategies as st
 
 from bisymrr import (
     BisymmetricChannel,
+    ExperimentConfig,
+    ResponseCorpus,
     SingularChannelError,
     WidthCapError,
+    apply_kernel,
     distinct_entries,
     entry_at,
     inverse_entry_at,
     inverse_parameter,
     materialize,
+    write_corpus,
 )
+from bisymrr.cli import main
+from bisymrr.figures import figure_1a
 
 # grid of kernel parameters covering the endpoints, the singular point, and
 # both truthful/lying branches
@@ -195,6 +201,74 @@ class TestInverse:
             for d in (0, 1, 1, 0)
         ]
         assert values == pytest.approx(direct, rel=1e-9)
+
+
+class TestApplyKernel:
+    @pytest.mark.parametrize(
+        "a", [0.0, 0.3, 0.75, 1.0, inverse_parameter(0.3), inverse_parameter(0.9)]
+    )
+    @pytest.mark.parametrize("k", range(9))
+    def test_matches_materialized_product(self, a, k):
+        v = np.random.default_rng(k).standard_normal(1 << k)
+        want = materialize(a, k) @ v
+        got = apply_kernel(v, a, 1.0 - a)
+        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+
+    @given(
+        v=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=256).filter(
+            lambda v: (len(v) & (len(v) - 1)) == 0
+        ),
+        a=st.floats(0.0, 1.0).filter(lambda a: abs(a - 0.5) >= 0.05),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_inverse_parameter_undoes_forward_pass(self, v, a):
+        ai = inverse_parameter(a)
+        back = apply_kernel(apply_kernel(v, a, 1.0 - a), ai, 1.0 - ai)
+        assert np.abs(back - v).max() <= 1e-9 * max(np.abs(v).max(), 1.0)
+
+    def test_leaves_input_untouched(self):
+        v = np.array([0.25])
+        out = apply_kernel(v, 2.0, -1.0)
+        out[0] = 9.0
+        assert v[0] == 0.25
+
+    @pytest.mark.parametrize("size", [0, 3, 6])
+    def test_rejects_non_power_of_two_length(self, size):
+        with pytest.raises(ValueError, match="power of two"):
+            apply_kernel(np.ones(size), 0.75, 0.25)
+
+
+class TestNoDenseMatrixOnHotPath:
+    """With the dense cap at 0, materialize refuses every width above 0, so
+    these runs succeed only if estimation and figure 1a never build one."""
+
+    def test_wide_cli_estimate(self, tmp_path, monkeypatch):
+        bits = np.random.default_rng(5).integers(0, 2, (2_000, 12), dtype=np.uint8)
+        corpus = tmp_path / "corpus.csv"
+        write_corpus(corpus, ResponseCorpus(bits))
+        argv = ["estimate", str(corpus), "--a", "0.75", "--bits", ",".join(map(str, range(12)))]
+
+        def cells(path):
+            assert main([*argv, "--out", str(path)]) == 0
+            rows = path.read_text().splitlines()[2:]
+            return np.array([float(row.split(",")[1]) for row in rows])
+
+        free = cells(tmp_path / "free.csv")
+        monkeypatch.setenv("BISYMRR_DENSE_CAP", "0")
+        with pytest.raises(WidthCapError):
+            materialize(0.75, 1)
+        capped = cells(tmp_path / "capped.csv")
+        assert free.size == 1 << 12
+        assert np.abs(capped - free).max() <= 1e-12
+
+    def test_figure_1a_width_eight(self, monkeypatch):
+        cfg = ExperimentConfig(n=8, m=1_000, trials=3)
+        _, free = figure_1a(cfg)
+        monkeypatch.setenv("BISYMRR_DENSE_CAP", "0")
+        _, capped = figure_1a(cfg)
+        assert [row[:3] for row in capped] == [row[:3] for row in free]
+        gap = np.abs(np.array([row[3:] for row in capped]) - np.array([row[3:] for row in free]))
+        assert gap.max() <= 1e-12
 
 
 class TestDistinctEntries:

@@ -9,12 +9,15 @@ from bisymrr import (
     ResponseCorpus,
     SingularChannelError,
     WidthCapError,
+    apply_kernel,
     cov_trace_closed_form,
     covariance,
     direct_covariance,
     efficiency_loss,
     estimate,
+    estimate_variance,
     greenwood_moments,
+    inverse_parameter,
     loss,
     loss_approx_quality,
     loss_ratio_empirical,
@@ -89,12 +92,11 @@ class TestEstimate:
         assert abs(got.sum() - 1.0) <= 1e-9
 
     @pytest.mark.parametrize("a", [0.3, 0.75, 0.9])
-    @pytest.mark.parametrize("k", [4, 7, 10])
-    def test_lazy_path_matches_dense(self, a, k, monkeypatch):
+    @pytest.mark.parametrize("k", [4, 7, 10, 12])
+    def test_lazy_path_matches_dense(self, a, k):
         counts = np.random.default_rng(k).integers(0, 500, 1 << k)
         counts[0] += 1  # ensure non-empty
-        dense = estimate(Histogram(counts), a)
-        monkeypatch.setenv("BISYMRR_DENSE_CAP", "3")
+        dense = materialize(inverse_parameter(a), k) @ (counts / counts.sum())
         lazy = estimate(Histogram(counts), a)
         assert np.abs(dense - lazy).max() <= 1e-12
 
@@ -156,6 +158,35 @@ class TestCovariance:
             brute = float(np.trace(covariance(pi, a, n, m)))
             closed = cov_trace_closed_form(float(pi @ pi), a, n, m)
             assert abs(brute - closed) <= 1e-9
+
+
+class TestEstimateVariance:
+    @pytest.mark.parametrize("a", [0.3, 0.65, 0.75, 0.9, 0.99])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_dense_covariance_diagonal(self, a, n):
+        pi = seeded_pi(1 << n, 70 + n)
+        q = materialize(a, n) @ pi
+        for m in (1, 100):
+            diag = np.diag(covariance(pi, a, n, m))
+            got = estimate_variance(q, pi, a, m)
+            assert np.abs(got - diag).max() <= 1e-12 * np.abs(diag).max()
+
+    @pytest.mark.parametrize("a", [0.3, 0.75, 0.9])
+    @pytest.mark.parametrize("n", [1, 4, 8, 12])
+    def test_sums_to_closed_form_trace(self, a, n):
+        pi = seeded_pi(1 << n, 90 + n)
+        got = estimate_variance(apply_kernel(pi, a, 1.0 - a), pi, a, 50).sum()
+        assert got == pytest.approx(cov_trace_closed_form(float(pi @ pi), a, n, 50), rel=1e-12)
+
+    def test_rejects_mismatched_cells_and_empty_sample(self):
+        with pytest.raises(ValueError, match="cells"):
+            estimate_variance(np.ones(4) / 4, np.ones(2) / 2, 0.75, 1)
+        with pytest.raises(ValueError, match="sample count"):
+            estimate_variance(np.ones(4) / 4, np.ones(4) / 4, 0.75, 0)
+
+    def test_singular_channel_rejected(self):
+        with pytest.raises(SingularChannelError):
+            estimate_variance(np.ones(2) / 2, np.ones(2) / 2, 0.5, 1)
 
 
 class TestTraceConstant:
