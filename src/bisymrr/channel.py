@@ -8,8 +8,8 @@ the Hamming distance between the row and column indices read as bit strings,
 so the full 2^n x 2^n matrix never needs to exist to evaluate one entry, and
 the matrix inverse is the same construction at parameter ``a / (2a - 1)``.
 Applying the matrix to a vector is :func:`apply_kernel`, one 2x2 pass per bit
-axis; the dense :func:`materialize` serves only the ``matrix`` command, the
-brute-force covariance and test oracles.
+axis; the dense :func:`materialize` serves only the ``matrix`` command and the
+test oracles, and refuses widths above :data:`DENSE_CAP`.
 
 Index convention: bit i of a record carries index weight 2**i (the record
 (1, 0, 1) is cell 5).  Entries depend only on Hamming distance, so this choice
@@ -25,7 +25,6 @@ view for callers that want the invariants enforced.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -33,50 +32,28 @@ import numpy as np
 
 from .errors import SingularChannelError, WidthCapError
 
-# Dense materialization above this width is refused unless the caller (or the
-# environment) raises the cap; 2^12 x 2^12 is 16.8M float64 entries, ~134 MB.
-DEFAULT_DENSE_CAP = 12
-DENSE_CAP_ENV = "BISYMRR_DENSE_CAP"
+# Widest matrix materialize builds; 2^12 x 2^12 is 16.8M float64 entries, ~134 MB.
+DENSE_CAP = 12
 
 # Below this distance from 1/2 the inverse-entry denominator (2a-1)^n loses
 # enough precision that we switch to log-space and warn.
 NEAR_SINGULAR = 1e-3
 
 
-def dense_cap() -> int:
-    """Effective dense-width cap: the environment override or the default."""
-    raw = os.environ.get(DENSE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_DENSE_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{DENSE_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 0:
-        raise ValueError(f"{DENSE_CAP_ENV} must be non-negative, got {cap}")
-    return cap
-
-
-def _check_width(n: int, cap: int | None) -> None:
-    if n < 0:
-        raise ValueError(f"bit width must be non-negative, got {n}")
-    limit = dense_cap() if cap is None else cap
-    if n > limit:
-        raise WidthCapError(
-            f"dense materialization of width {n} exceeds the cap of {limit} "
-            f"(set {DENSE_CAP_ENV} to raise it)"
-        )
-
-
-def materialize(a: float, n: int, cap: int | None = None) -> np.ndarray:
+def materialize(a: float, n: int) -> np.ndarray:
     """Build the full 2^n x 2^n flip matrix for kernel parameter ``a``.
 
     The doubling recursion writes each output entry exactly once, so the cost
     is linear in the 4^n entries produced.  Kept in pure Python on purpose:
     the per-entry cost is uniform across widths, which makes the linear
-    scaling directly measurable.
+    scaling directly measurable.  Widths above :data:`DENSE_CAP` are refused.
     """
-    _check_width(n, cap)
+    if n < 0:
+        raise ValueError(f"bit width must be non-negative, got {n}")
+    if n > DENSE_CAP:
+        raise WidthCapError(
+            f"dense materialization of width {n} exceeds the cap of {DENSE_CAP}"
+        )
     b = 1.0 - a
     rows = [[1.0]]
     for _ in range(n):
@@ -218,8 +195,8 @@ class BisymmetricChannel:
     def invertible(self) -> bool:
         return self.a != 0.5
 
-    def materialize(self, cap: int | None = None) -> np.ndarray:
-        return materialize(self.a, self.n, cap=cap)
+    def materialize(self) -> np.ndarray:
+        return materialize(self.a, self.n)
 
     def entry(self, r: int, x: int) -> float:
         return entry_at(self.a, self.n, r, x)

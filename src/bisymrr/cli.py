@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .channel import dense_cap, DENSE_CAP_ENV, inverse_parameter, materialize
+from .channel import DENSE_CAP, inverse_parameter, materialize
 from .corpus_io import (
     format_float,
     read_corpus,
@@ -47,6 +47,7 @@ from .figures import (
 )
 from .privacy import a_for_epsilon, report_for_a
 from .randomizer import (
+    _MECHANISMS,
     Direct,
     RandomSeed,
     effective_a,
@@ -77,17 +78,17 @@ def _mechanism_from_args(args, required: bool = True):
 
 
 def _mechanism_text(spec) -> str:
-    name = {
-        "Direct": "direct",
-        "Warner": "warner",
-        "UnrelatedUniform": "unrelated",
-        "RapporOneTime": "rappor1",
-        "RapporFull": "rappor",
-    }[type(spec).__name__]
-    if name == "rappor":
-        return f"rappor:f={format_float(spec.f)},q={format_float(spec.q)}"
-    value = next(iter(vars(spec).values()))
-    return f"{name}:{format_float(value)}"
+    """``name:value``, or ``name:key=value,...`` for several fields, as
+    parse_mechanism reads it back."""
+    name, fields = next(
+        (name, fields)
+        for name, (cls, fields) in _MECHANISMS.items()
+        if type(spec) is cls
+    )
+    values = [format_float(getattr(spec, f)) for f in fields]
+    if len(fields) == 1:
+        return f"{name}:{values[0]}"
+    return f"{name}:" + ",".join(f"{f}={v}" for f, v in zip(fields, values))
 
 
 def cmd_matrix(args) -> int:
@@ -214,9 +215,14 @@ def cmd_figures(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             try:
-                overrides.update(json.load(handle))
+                config = json.load(handle)
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"bad config file: {exc}") from exc
+        if not isinstance(config, dict):
+            raise CorpusFormatError(
+                f"bad config file: expected a JSON object, got {type(config).__name__}"
+            )
+        overrides.update(config)
     for key in ("n", "m", "trials", "k", "seed", "stream"):
         value = getattr(args, key, None)
         if value is not None:
@@ -261,9 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             f"estimate always applies the channel inverse as a per-axis "
-            f"kernel pass and has no width cap; the dense-matrix width cap "
-            f"(default {dense_cap()}, overridden via {DENSE_CAP_ENV}) governs "
-            f"only matrix and the library's dense covariance."
+            f"kernel pass and has no width cap; matrix builds the dense "
+            f"matrix and refuses widths above {DENSE_CAP} (exit 5)."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -15,7 +15,8 @@ class SingularChannelError(BisymrrError):
 
 
 class WidthCapError(BisymrrError):
-    """A dense-matrix operation was requested above the configured bit-width cap."""
+    """A dense matrix was requested above its fixed bit-width cap
+    (:data:`~bisymrr.channel.DENSE_CAP` for ``materialize``)."""
 
 
 class DegenerateDistributionError(BisymrrError):

@@ -5,9 +5,8 @@ apply the inverse flip matrix to the frequency vector.  Because the channel
 factorizes per bit, the same inverse kernel applies to any subset of bits, so
 a k-way marginal only ever needs the width-k inverse, never the width-n one,
 and :func:`estimate` always applies it as the structured per-axis pass of
-:func:`~bisymrr.channel.apply_kernel` in O(k 2^k), at every width.  The dense
-width cap governs only :func:`~bisymrr.channel.materialize` (the ``matrix``
-command) and the brute-force :func:`covariance`.
+:func:`~bisymrr.channel.apply_kernel` in O(k 2^k), at every width, and never
+builds a dense matrix.
 
 The estimate is exactly unbiased but costs variance.  The closed forms below
 quantify that cost: the covariance trace of the estimator is (c - s) / m with
@@ -28,12 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import apply_kernel, inverse_parameter, materialize
-from .errors import DegenerateDistributionError, SingularChannelError, WidthCapError
-from .randomizer import ResponseCorpus
-
-# The covariance is a dense triple product; 2^8 keeps it a 256x256 affair.
-COVARIANCE_CAP = 8
+from .channel import apply_kernel, inverse_parameter
+from .errors import DegenerateDistributionError, SingularChannelError
+from .randomizer import ResponseCorpus, _check_probability
 
 
 @dataclass(frozen=True)
@@ -102,6 +98,7 @@ def estimate(h: Histogram | np.ndarray, a: float) -> np.ndarray:
     may come out negative; that is the price of exact unbiasedness, and
     :func:`project_to_simplex` exists for callers who need a distribution.
     """
+    _check_probability(a, "a")
     counts = h.counts if isinstance(h, Histogram) else Histogram(h).counts
     m = int(counts.sum())
     if m == 0:
@@ -126,39 +123,10 @@ def estimate_variance(q: np.ndarray, pi: np.ndarray, a: float, m: int) -> np.nda
         raise ValueError(f"q has {q.size} cells but pi has {pi.size}")
     if m < 1:
         raise ValueError(f"sample count must be positive, got {m}")
+    _check_probability(a, "a")
     ai = inverse_parameter(a)
     bi = 1.0 - ai
     return (apply_kernel(q, ai * ai, bi * bi) - pi * pi) / m
-
-
-def direct_covariance(pi: np.ndarray, m: int) -> np.ndarray:
-    """Covariance of the plain frequency estimator on an un-randomized survey:
-    m^-1 (diag(pi) - pi pi^T)."""
-    pi = _check_distribution(pi)
-    if m < 1:
-        raise ValueError(f"sample count must be positive, got {m}")
-    return (np.diag(pi) - np.outer(pi, pi)) / m
-
-
-def covariance(pi: np.ndarray, a: float, n: int, m: int) -> np.ndarray:
-    """Exact covariance of the randomized-response estimate, brute force.
-
-    Builds C and its inverse densely and evaluates
-    m^-1 (C^-1 diag(C pi) C^-T - pi pi^T).  This is the independent check the
-    closed-form trace is tested against, so it stays deliberately literal.
-    """
-    pi = _check_distribution(pi)
-    if m < 1:
-        raise ValueError(f"sample count must be positive, got {m}")
-    if n > COVARIANCE_CAP:
-        raise WidthCapError(
-            f"dense covariance of width {n} exceeds the cap of {COVARIANCE_CAP}"
-        )
-    if pi.size != 1 << n:
-        raise ValueError(f"pi has {pi.size} cells, width {n} needs {1 << n}")
-    chan = materialize(a, n)
-    inv = materialize(inverse_parameter(a), n)
-    return (inv @ np.diag(chan @ pi) @ inv.T - np.outer(pi, pi)) / m
 
 
 def trace_constant(a: float, n: int) -> float:
@@ -232,22 +200,6 @@ def loss(s: float, a: float, n: int) -> LossReport:
     )
 
 
-def loss_ratio_empirical(pi: np.ndarray, a: float, n: int, m: int) -> float:
-    """Trace ratio of the two full covariance matrices, no closed forms.
-
-    Matches ``loss(...).loss_L`` and is independent of m (both traces scale
-    as 1/m); kept as the brute-force oracle for the loss formula.
-    """
-    randomized = np.trace(covariance(pi, a, n, m))
-    direct = np.trace(direct_covariance(pi, m))
-    if direct == 0.0:
-        raise DegenerateDistributionError(
-            "pi is a point mass; the direct estimator has zero variance and "
-            "the loss ratio is undefined"
-        )
-    return float(randomized / direct)
-
-
 def greenwood_moments(n: int) -> tuple[float, float]:
     """Mean and variance of s = sum(pi^2) under a uniformly random π on the
     2^n-cell simplex: 2/(N+1) and 4(N-1)/((N+1)^2 (N+2)(N+3)) with N = 2^n."""
@@ -285,19 +237,11 @@ def project_to_simplex(e: np.ndarray) -> np.ndarray:
     v = np.asarray(e, dtype=np.float64).reshape(-1)
     if v.size == 0:
         raise ValueError("cannot project an empty vector")
+    if not np.isfinite(v).all():
+        raise ValueError("cannot project a vector with NaN or infinite entries")
     u = np.sort(v)[::-1]
     cumulative = np.cumsum(u)
     ranks = np.arange(1, v.size + 1)
     rho = np.nonzero(u * ranks > cumulative - 1.0)[0][-1]
     threshold = (cumulative[rho] - 1.0) / (rho + 1.0)
     return np.maximum(v - threshold, 0.0)
-
-
-def _check_distribution(pi: np.ndarray) -> np.ndarray:
-    pi = np.asarray(pi, dtype=np.float64).reshape(-1)
-    if (pi < 0.0).any():
-        raise ValueError("probabilities must be non-negative")
-    total = float(pi.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"probabilities must sum to 1, got {total}")
-    return pi

@@ -17,8 +17,8 @@ bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import comb
 from typing import Union
 
 import numpy as np
@@ -162,7 +162,8 @@ class RapporFull:
     1, and with probability p = 1 - q when it is 0.
 
     Only the symmetric mode p = 1 - q composes into a single bit-flip channel,
-    so an explicit p disagreeing with 1 - q is rejected outright.
+    so an explicit p disagreeing with 1 - q (beyond float rounding) is
+    rejected outright.
     """
 
     f: float
@@ -172,7 +173,10 @@ class RapporFull:
     def __post_init__(self):
         _check_probability(self.f, "f")
         _check_probability(self.q, "q")
-        if self.p is not None and self.p != 1.0 - self.q:
+        # absolute tolerance: 0.3 and 1 - 0.7 differ by one ulp
+        if self.p is not None and not math.isclose(
+            self.p, 1.0 - self.q, rel_tol=0.0, abs_tol=1e-12
+        ):
             raise ValueError(
                 f"asymmetric instantaneous stage (p={self.p}, q={self.q}) is not "
                 "a bit-flip channel; only the symmetric mode p = 1 - q is supported"
@@ -260,29 +264,6 @@ def randomize_corpus(c: ResponseCorpus, a: float, seed: RandomSeed) -> ResponseC
     return ResponseCorpus(c.bits ^ flips)
 
 
-def unrelated_channel_entry(p: float, n: int, r: int, x: int) -> float:
-    """Transition probability of the unrelated-question design, the long way.
-
-    Each of the d disagreeing bits (d = Hamming distance of r and x) must have
-    drawn the coin and disagreed (probability p/2); each agreeing bit either
-    answered truthfully (1 - p) or drew an agreeing coin (p/2), and the sum
-    expands that binomially over how many agreeing bits used the coin.  Equal
-    to ``entry_at((2 - p) / 2, n, r, x)``; kept as an independent route for
-    cross-checking that reduction.
-    """
-    _check_probability(p, "p")
-    if n < 0:
-        raise ValueError(f"bit width must be non-negative, got {n}")
-    dim = 1 << n
-    if not (0 <= r < dim and 0 <= x < dim):
-        raise ValueError(f"indices must lie in [0, {dim}), got r={r}, x={x}")
-    d = (r ^ x).bit_count()
-    total = 0.0
-    for i in range(n - d + 1):
-        total += comb(n - d, i) * (p / 2.0) ** (i + d) * (1.0 - p) ** (n - i - d)
-    return total
-
-
 __all__ = [
     "RandomSeed",
     "ResponseCorpus",
@@ -296,5 +277,4 @@ __all__ = [
     "parse_mechanism",
     "randomize",
     "randomize_corpus",
-    "unrelated_channel_entry",
 ]

@@ -22,7 +22,6 @@ from bisymrr import (
     Warner,
     a_for_epsilon,
     c_at_alpha,
-    covariance,
     cov_trace_closed_form,
     effective_a,
     entry_at,
@@ -38,6 +37,7 @@ from bisymrr import (
 )
 from bisymrr.figures import ExperimentConfig, figure_2a, figure_2b
 
+from dense_oracles import covariance
 from twostage import simulate
 
 

@@ -1,9 +1,15 @@
+import importlib
+import pkgutil
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bisymrr
 from bisymrr import (
+    DENSE_CAP,
     BisymmetricChannel,
     ExperimentConfig,
     ResponseCorpus,
@@ -12,8 +18,10 @@ from bisymrr import (
     apply_kernel,
     distinct_entries,
     entry_at,
+    estimate,
     inverse_entry_at,
     inverse_parameter,
+    marginal_histogram,
     materialize,
     write_corpus,
 )
@@ -84,18 +92,9 @@ class TestMaterialize:
         assert np.abs(product - folded).max() <= 1e-12
 
     def test_width_cap_default(self):
+        assert DENSE_CAP == 12
         with pytest.raises(WidthCapError, match="cap of 12"):
             materialize(0.75, 13)
-
-    def test_width_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("BISYMRR_DENSE_CAP", "4")
-        with pytest.raises(WidthCapError, match="cap of 4"):
-            materialize(0.75, 5)
-        materialize(0.75, 4)
-
-    def test_width_cap_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("BISYMRR_DENSE_CAP", "2")
-        assert materialize(0.75, 5, cap=5).shape == (32, 32)
 
     def test_negative_width_rejected(self):
         with pytest.raises(ValueError):
@@ -238,37 +237,62 @@ class TestApplyKernel:
             apply_kernel(np.ones(size), 0.75, 0.25)
 
 
-class TestNoDenseMatrixOnHotPath:
-    """With the dense cap at 0, materialize refuses every width above 0, so
-    these runs succeed only if estimation and figure 1a never build one."""
+@pytest.fixture
+def no_dense(monkeypatch):
+    """Make materialize raise in every loaded bisymrr module that binds it, so a
+    hot path that imports it under its own name is caught as well."""
 
-    def test_wide_cli_estimate(self, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense materialize called on a kernel-pass path")
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "bisymrr" and hasattr(module, "materialize"):
+            monkeypatch.setattr(module, "materialize", refuse)
+
+
+class TestNoDenseMatrixOnHotPath:
+    """Estimation and figure 1a must succeed with materialize refusing every call."""
+
+    def test_only_channel_and_cli_bind_materialize(self):
+        for info in pkgutil.iter_modules(bisymrr.__path__, "bisymrr."):
+            importlib.import_module(info.name)
+        binders = {
+            name
+            for name, module in sys.modules.items()
+            if name.startswith("bisymrr.") and hasattr(module, "materialize")
+        }
+        assert binders == {"bisymrr.channel", "bisymrr.cli"}
+
+    def test_guard_covers_every_binding(self, no_dense):
+        from bisymrr.channel import materialize as rebound
+
+        for fn in (bisymrr.materialize, bisymrr.cli.materialize, rebound):
+            with pytest.raises(AssertionError, match="dense"):
+                fn(0.75, 1)
+
+    def test_wide_cli_estimate(self, tmp_path, no_dense):
         bits = np.random.default_rng(5).integers(0, 2, (2_000, 12), dtype=np.uint8)
         corpus = tmp_path / "corpus.csv"
         write_corpus(corpus, ResponseCorpus(bits))
-        argv = ["estimate", str(corpus), "--a", "0.75", "--bits", ",".join(map(str, range(12)))]
+        positions = list(range(12))
+        out = tmp_path / "estimate.csv"
+        argv = ["estimate", str(corpus), "--a", "0.75", "--bits", ",".join(map(str, positions))]
+        assert main([*argv, "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[2:]
+        cells = np.array([float(row.split(",")[1]) for row in rows])
+        want = estimate(marginal_histogram(ResponseCorpus(bits), positions), 0.75)
+        assert cells.size == 1 << 12
+        assert np.abs(cells - want).max() <= 1e-12
 
-        def cells(path):
-            assert main([*argv, "--out", str(path)]) == 0
-            rows = path.read_text().splitlines()[2:]
-            return np.array([float(row.split(",")[1]) for row in rows])
-
-        free = cells(tmp_path / "free.csv")
-        monkeypatch.setenv("BISYMRR_DENSE_CAP", "0")
-        with pytest.raises(WidthCapError):
-            materialize(0.75, 1)
-        capped = cells(tmp_path / "capped.csv")
-        assert free.size == 1 << 12
-        assert np.abs(capped - free).max() <= 1e-12
-
-    def test_figure_1a_width_eight(self, monkeypatch):
+    def test_figure_1a_width_eight(self, no_dense):
         cfg = ExperimentConfig(n=8, m=1_000, trials=3)
-        _, free = figure_1a(cfg)
-        monkeypatch.setenv("BISYMRR_DENSE_CAP", "0")
-        _, capped = figure_1a(cfg)
-        assert [row[:3] for row in capped] == [row[:3] for row in free]
-        gap = np.abs(np.array([row[3:] for row in capped]) - np.array([row[3:] for row in free]))
-        assert gap.max() <= 1e-12
+        columns, rows = figure_1a(cfg)
+        assert len(columns) == 3 + 256
+        assert [row[:2] for row in rows[:3]] == [
+            [0, "direct"], [0, "randomized"], [0, "randomized_scaled"]
+        ]
+        sums = np.array([row[3:] for row in rows]).sum(axis=1)
+        assert np.abs(sums - 1.0).max() <= 1e-9
 
 
 class TestDistinctEntries:

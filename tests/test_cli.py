@@ -3,9 +3,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from bisymrr import ResponseCorpus, materialize, read_matrix, write_corpus
-from bisymrr.cli import main
+from bisymrr import (
+    Direct,
+    RapporFull,
+    RapporOneTime,
+    ResponseCorpus,
+    UnrelatedUniform,
+    Warner,
+    materialize,
+    parse_mechanism,
+    read_matrix,
+    write_corpus,
+)
+from bisymrr.cli import _mechanism_text, main
 
 PI = np.array([0.05, 0.15, 0.3, 0.5])
 
@@ -131,6 +144,17 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", str(path))
         assert code == 2
         assert "--a" in err
+
+    @pytest.mark.parametrize(
+        "header_a,extra", [("nan", []), ("nan", ["--project"]), ("1.5", [])]
+    )
+    def test_bad_header_a_exits_2(self, tmp_path, capsys, header_a, extra):
+        path = tmp_path / "noisy.csv"
+        path.write_text(f"# width=2 m=3 a={header_a}\n0,1\n1,1\n0,0\n")
+        code, out, err = run(capsys, "estimate", str(path), *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: a must lie in [0, 1]")
 
     def test_project_gives_distribution(self, tmp_path, capsys):
         path = truthful_corpus_file(tmp_path, [0, 0, 0, 1], 3, 2)
@@ -279,6 +303,35 @@ class TestFigures:
         code, _, err = run(capsys, "figures", "1b", "--config", str(cfg))
         assert code == 4
         assert "config" in err
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "5", '"n"', "null"])
+    def test_non_object_config_exits_4(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, _, err = run(capsys, "figures", "1b", "--config", str(cfg))
+        assert code == 4
+        assert err.startswith("error: bad config file: expected a JSON object")
+
+
+PROBABILITY = st.floats(0.0, 1.0, allow_nan=False)
+
+
+class TestMechanismText:
+    @given(
+        spec=st.one_of(
+            st.builds(Direct, PROBABILITY),
+            st.builds(Warner, PROBABILITY),
+            st.builds(UnrelatedUniform, PROBABILITY),
+            st.builds(RapporOneTime, PROBABILITY),
+            st.builds(RapporFull, PROBABILITY, PROBABILITY),
+        )
+    )
+    def test_parse_round_trip(self, spec):
+        assert parse_mechanism(_mechanism_text(spec)) == spec
+
+    def test_single_and_keyed_forms(self):
+        assert _mechanism_text(Warner(0.7)) == "warner:0.69999999999999996"
+        assert _mechanism_text(RapporFull(0.5, 0.75, p=0.25)) == "rappor:f=0.5,q=0.75"
 
 
 class TestTopLevel:

@@ -11,8 +11,6 @@ from bisymrr import (
     WidthCapError,
     apply_kernel,
     cov_trace_closed_form,
-    covariance,
-    direct_covariance,
     efficiency_loss,
     estimate,
     estimate_variance,
@@ -20,12 +18,13 @@ from bisymrr import (
     inverse_parameter,
     loss,
     loss_approx_quality,
-    loss_ratio_empirical,
     marginal_histogram,
     materialize,
     project_to_simplex,
     trace_constant,
 )
+
+from dense_oracles import covariance, direct_covariance, loss_ratio_empirical
 
 CORPUS = ResponseCorpus(np.array([[0, 1], [1, 1], [0, 1]], dtype=np.uint8))
 
@@ -79,6 +78,11 @@ class TestEstimate:
     def test_singular_channel_rejected(self):
         with pytest.raises(SingularChannelError):
             estimate(Histogram(np.array([5, 5])), 0.5)
+
+    @pytest.mark.parametrize("a", [float("nan"), 1.5, -0.1, float("inf")])
+    def test_channel_outside_unit_interval_rejected(self, a):
+        with pytest.raises(ValueError, match="a must lie in"):
+            estimate(Histogram(np.array([5, 5])), a)
 
     @given(
         counts=st.lists(st.integers(0, 10_000), min_size=2, max_size=64).filter(
@@ -187,6 +191,11 @@ class TestEstimateVariance:
     def test_singular_channel_rejected(self):
         with pytest.raises(SingularChannelError):
             estimate_variance(np.ones(2) / 2, np.ones(2) / 2, 0.5, 1)
+
+    @pytest.mark.parametrize("a", [float("nan"), 1.5, -0.1])
+    def test_channel_outside_unit_interval_rejected(self, a):
+        with pytest.raises(ValueError, match="a must lie in"):
+            estimate_variance(np.ones(2) / 2, np.ones(2) / 2, a, 1)
 
 
 class TestTraceConstant:
@@ -365,6 +374,11 @@ class TestProjectToSimplex:
         v = np.array([0.9, -0.4, 0.5])
         once = project_to_simplex(v)
         assert np.abs(project_to_simplex(once) - once).max() <= 1e-12
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            project_to_simplex(np.array([0.5, bad, 0.5]))
 
 
 class TestDirectCovariance:

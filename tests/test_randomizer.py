@@ -20,8 +20,8 @@ from bisymrr import (
     parse_mechanism,
     randomize,
     randomize_corpus,
-    unrelated_channel_entry,
 )
+from dense_oracles import unrelated_channel_entry
 from twostage import simulate
 
 
@@ -57,6 +57,15 @@ class TestEffectiveA:
     def test_rappor_full_rejects_asymmetric_p(self):
         with pytest.raises(ValueError, match="symmetric"):
             RapporFull(0.5, 0.75, p=0.3)
+
+    def test_rappor_full_accepts_p_one_rounding_off(self):
+        # 1 - 0.7 is 0.30000000000000004 in binary floating point
+        assert effective_a(RapporFull(0.5, q=0.7, p=0.3)) == effective_a(RapporFull(0.5, 0.7))
+
+    @pytest.mark.parametrize("p", [float("nan"), 0.25 + 1e-9])
+    def test_rappor_full_rejects_nan_and_near_miss_p(self, p):
+        with pytest.raises(ValueError, match="symmetric"):
+            RapporFull(0.5, 0.75, p=p)
 
 
 class TestParseMechanism:
