@@ -24,19 +24,24 @@ view for callers that want the invariants enforced.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularChannelError, WidthCapError
+from .errors import (
+    WidthCapError,
+    check_count,
+    check_finite,
+    check_invertible,
+    check_probability,
+)
 
 # Widest matrix materialize builds; 2^12 x 2^12 is 16.8M float64 entries, ~134 MB.
 DENSE_CAP = 12
 
-# Below this distance from 1/2 the inverse-entry denominator (2a-1)^n loses
-# enough precision that we switch to log-space and warn.
+# Below this distance from 1/2 the inverse parameter a / (2a - 1) is so large
+# that estimates through it are statistically useless; inverse_parameter warns.
 NEAR_SINGULAR = 1e-3
 
 
@@ -48,8 +53,8 @@ def materialize(a: float, n: int) -> np.ndarray:
     the per-entry cost is uniform across widths, which makes the linear
     scaling directly measurable.  Widths above :data:`DENSE_CAP` are refused.
     """
-    if n < 0:
-        raise ValueError(f"bit width must be non-negative, got {n}")
+    check_finite(a, "a")
+    n = check_count(n, "bit width")
     if n > DENSE_CAP:
         raise WidthCapError(
             f"dense materialization of width {n} exceeds the cap of {DENSE_CAP}"
@@ -88,8 +93,7 @@ def apply_kernel(v: np.ndarray, same: float, other: float) -> np.ndarray:
 
 def entry_at(a: float, n: int, r: int, x: int) -> float:
     """Entry (r, x) of the width-n flip matrix without materializing it."""
-    if n < 0:
-        raise ValueError(f"bit width must be non-negative, got {n}")
+    n = check_count(n, "bit width")
     dim = 1 << n
     if not (0 <= r < dim and 0 <= x < dim):
         raise ValueError(f"indices must lie in [0, {dim}), got r={r}, x={x}")
@@ -104,10 +108,7 @@ def inverse_parameter(a: float) -> float:
     width-n matrix at ``a``.  Undefined at a = 1/2, where the channel maps
     every input to the uniform distribution.
     """
-    if a == 0.5:
-        raise SingularChannelError(
-            "a = 1/2 destroys all information; the channel has no inverse"
-        )
+    check_invertible(a)
     if abs(2.0 * a - 1.0) < NEAR_SINGULAR:
         warnings.warn(
             f"a = {a} is within {NEAR_SINGULAR} of 1/2; the inverse exists but "
@@ -122,40 +123,11 @@ def inverse_parameter(a: float) -> float:
 def inverse_entry_at(a: float, n: int, x: int, r: int) -> float:
     """Entry (x, r) of the inverse matrix: a^(n-d) (a-1)^d / (2a-1)^n.
 
-    Equal to ``entry_at(inverse_parameter(a), n, x, r)`` but avoids forming
-    the quotient parameter, and switches to log-space when a is near 1/2 so
-    the power of the tiny denominator does not underflow prematurely.
+    This is the forward entry at the inverse parameter; near a = 1/2 that
+    parameter is huge, and the entry overflows only where its true value
+    exceeds the float range.
     """
-    if a == 0.5:
-        raise SingularChannelError(
-            "a = 1/2 destroys all information; the channel has no inverse"
-        )
-    if n < 0:
-        raise ValueError(f"bit width must be non-negative, got {n}")
-    dim = 1 << n
-    if not (0 <= r < dim and 0 <= x < dim):
-        raise ValueError(f"indices must lie in [0, {dim}), got x={x}, r={r}")
-    d = (x ^ r).bit_count()
-    two_a_1 = 2.0 * a - 1.0
-    if abs(two_a_1) >= NEAR_SINGULAR:
-        return a ** (n - d) * (a - 1.0) ** d / two_a_1**n
-    warnings.warn(
-        f"a = {a} is within {NEAR_SINGULAR} of 1/2; inverse entries are "
-        "astronomically large and statistically useless",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    # sign: (a-1)^d is negative for odd d when a < 1, and (2a-1)^n flips for
-    # odd n when a < 1/2
-    sign = (-1.0) ** d if a < 1.0 else 1.0
-    if two_a_1 < 0.0 and n % 2:
-        sign = -sign
-    log_mag = (
-        (n - d) * math.log(abs(a))
-        + d * math.log(abs(a - 1.0))
-        - n * math.log(abs(two_a_1))
-    )
-    return sign * math.exp(log_mag)
+    return entry_at(inverse_parameter(a), n, x, r)
 
 
 def distinct_entries(a: float, n: int) -> np.ndarray:
@@ -165,8 +137,7 @@ def distinct_entries(a: float, n: int) -> np.ndarray:
     {0, 1/2, 1} they are pairwise distinct.  Returned as the full length-(n+1)
     list even when values coincide (a = 1/2 collapses them all).
     """
-    if n < 0:
-        raise ValueError(f"bit width must be non-negative, got {n}")
+    n = check_count(n, "bit width")
     return np.array([a ** (n - d) * (1.0 - a) ** d for d in range(n + 1)])
 
 
@@ -182,10 +153,8 @@ class BisymmetricChannel:
     n: int
 
     def __post_init__(self):
-        if not 0.0 <= self.a <= 1.0:
-            raise ValueError(f"truth probability must lie in [0, 1], got {self.a}")
-        if self.n < 0 or self.n != int(self.n):
-            raise ValueError(f"bit width must be a non-negative integer, got {self.n}")
+        check_probability(self.a, "truth probability")
+        object.__setattr__(self, "n", check_count(self.n, "bit width"))
 
     @property
     def dim(self) -> int:

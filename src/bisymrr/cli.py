@@ -4,8 +4,9 @@ Subcommands: matrix | randomize | estimate | loss | privacy | figures.
 Everything reads and writes flat CSV (stdout by default), all floats carry 17
 significant digits, and every randomized path takes an explicit seed.
 
-Exit codes: 0 success, 2 usage or domain error, 3 singular channel (a = 1/2),
-4 parse error in an input file, 5 dense-width cap exceeded.
+Exit codes: 0 success, 2 usage or domain error (a result overflowing a float
+included), 3 singular channel (a = 1/2), 4 parse error in an input file, 5
+dense-width cap exceeded; each domain error carries its own ``exit_code``.
 """
 
 from __future__ import annotations
@@ -22,15 +23,10 @@ from .corpus_io import (
     read_vector,
     write_corpus,
     write_matrix,
+    _format_value,
     _writing,
 )
-from .errors import (
-    CorpusFormatError,
-    DegenerateDistributionError,
-    InfiniteDisclosureError,
-    SingularChannelError,
-    WidthCapError,
-)
+from .errors import BisymrrError, CorpusFormatError, check_count, check_probability
 from .estimator import (
     estimate,
     loss,
@@ -54,12 +50,6 @@ from .randomizer import (
     parse_mechanism,
     randomize_corpus,
 )
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format_float(value)
-    return str(value)
 
 
 def _mechanism_from_args(args, required: bool = True):
@@ -91,8 +81,19 @@ def _mechanism_text(spec) -> str:
     return f"{name}:" + ",".join(f"{f}={v}" for f, v in zip(fields, values))
 
 
+def _write_keyvals(args, rows) -> int:
+    """The ``key,value`` CSV the loss and privacy reports print."""
+    with _writing(args.out or sys.stdout) as out:
+        out.write("key,value\n")
+        for key, value in rows:
+            out.write(f"{key},{_format_value(value)}\n")
+    return 0
+
+
 def cmd_matrix(args) -> int:
-    a = inverse_parameter(args.a) if args.inverse else args.a
+    a = check_probability(args.a, "a")
+    if args.inverse:
+        a = inverse_parameter(a)
     with _writing(args.out if args.out else sys.stdout) as out:
         write_matrix(out, materialize(a, args.n))
     return 0
@@ -150,20 +151,18 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_loss(args) -> int:
-    spec = _mechanism_from_args(args)
-    a = effective_a(spec)
+    a = effective_a(_mechanism_from_args(args))
+    n = check_count(args.n, "bit width", 1)
     if (args.s is None) == (args.pi is None):
         raise ValueError("give exactly one of --s or --pi")
     if args.pi is not None:
         pi = read_vector(args.pi)
-        if pi.size != 1 << args.n:
-            raise ValueError(
-                f"pi file has {pi.size} cells, width {args.n} needs {1 << args.n}"
-            )
+        if pi.size != 1 << n:
+            raise ValueError(f"pi file has {pi.size} cells, width {n} needs {1 << n}")
         s = float(pi @ pi)
     else:
         s = args.s
-    report = loss(s, a, args.n)
+    report = loss(s, a, n)
     rows = [
         ("a", a),
         ("c", report.c),
@@ -173,41 +172,31 @@ def cmd_loss(args) -> int:
         ("loss_floor", report.loss_floor),
         ("loss_approx", report.loss_approx),
     ]
-    if args.n > 2:
-        rows.append(("approx_quality", loss_approx_quality(args.n)))
-    with _writing(args.out if args.out else sys.stdout) as out:
-        out.write("key,value\n")
-        for key, value in rows:
-            out.write(f"{key},{_fmt(value)}\n")
-    return 0
+    if n > 2:
+        rows.append(("approx_quality", loss_approx_quality(n)))
+    return _write_keyvals(args, rows)
 
 
 def cmd_privacy(args) -> int:
     if (args.a is None) == (args.epsilon is None):
         raise ValueError("give exactly one of --a or --epsilon")
-    k = args.k if args.k is not None else args.n
-    s = args.s if args.s is not None else 1.0 / (1 << args.n)
-    if args.epsilon is not None:
-        a = a_for_epsilon(args.epsilon, k)
-    else:
-        a = args.a
-    report = report_for_a(a, k, args.n, s)
+    n = check_count(args.n, "bit width")
+    k = args.k if args.k is not None else n
+    s = args.s if args.s is not None else 1.0 / (1 << n)
+    a = args.a if args.epsilon is None else a_for_epsilon(args.epsilon, k)
+    report = report_for_a(a, k, n, s)
     rows = [
         ("a", report.a),
         ("ratio", report.ratio),
         ("epsilon_per_bit", report.epsilon_per_bit),
         ("epsilon_total", report.epsilon_total),
         ("k", k),
-        ("n", args.n),
+        ("n", n),
         ("s", s),
         ("c_at_alpha", report.c_at_alpha),
         ("loss_at_alpha", report.loss_at_alpha),
     ]
-    with _writing(args.out if args.out else sys.stdout) as out:
-        out.write("key,value\n")
-        for key, value in rows:
-            out.write(f"{key},{_fmt(value)}\n")
-    return 0
+    return _write_keyvals(args, rows)
 
 
 def cmd_figures(args) -> int:
@@ -227,12 +216,9 @@ def cmd_figures(args) -> int:
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
-    if args.a is not None and args.mechanism is not None:
-        raise ValueError("give either --a or --mechanism, not both")
-    if args.mechanism is not None:
-        overrides["mechanism"] = args.mechanism
-    elif args.a is not None:
-        overrides["mechanism"] = Direct(args.a)
+    spec = _mechanism_from_args(args, required=False)
+    if spec is not None:
+        overrides["mechanism"] = spec
     if args.pi is not None:
         text = args.pi.strip()
         overrides["pi"] = (
@@ -253,7 +239,7 @@ def cmd_figures(args) -> int:
         )
         out.write(",".join(columns) + "\n")
         for row in rows:
-            out.write(",".join(_fmt(v) for v in row) + "\n")
+            out.write(",".join(_format_value(v) for v in row) + "\n")
     return 0
 
 
@@ -277,7 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", type=float, help="per-bit truth probability")
     p.add_argument("n", type=int, help="bit width")
     p.add_argument("--inverse", action="store_true", help="emit the matrix inverse")
-    p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("randomize", help="randomize a corpus file")
@@ -290,7 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, help="randomness seed")
     p.add_argument("--stream", type=int, default=0, help="substream id")
-    p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_randomize)
 
     p = sub.add_parser("estimate", help="estimate a marginal from a randomized corpus")
@@ -305,7 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="project the raw estimate onto the probability simplex",
     )
-    p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("loss", help="closed-form efficiency-loss report")
@@ -314,7 +297,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="bit width")
     p.add_argument("--s", type=float, help="sum of squared cell probabilities")
     p.add_argument("--pi", help="file with the distribution (s computed from it)")
-    p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_loss)
 
     p = sub.add_parser("privacy", help="privacy-budget report (both directions)")
@@ -327,7 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         help="sum of squared cell probabilities for the loss row (default 2^-n)",
     )
-    p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_privacy)
 
     p = sub.add_parser("figures", help="emit a canned experiment dataset as CSV")
@@ -342,9 +323,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="randomness seed")
     p.add_argument("--stream", type=int, help="substream id")
     p.add_argument("--k", type=int, help="max differing bits for budget-indexed data")
-    p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_figures)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", help="output path (default stdout)")
     return parser
 
 
@@ -365,23 +347,10 @@ def main(argv=None) -> int:
         # reader went away (e.g. piped into head); silence the shutdown flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except SingularChannelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CorpusFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except WidthCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except (
-        DegenerateDistributionError,
-        InfiniteDisclosureError,
-        ValueError,
-        OSError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (BisymrrError, ValueError, OverflowError, OSError) as exc:
+        detail = f"numerical overflow: {exc}" if isinstance(exc, OverflowError) else exc
+        print(f"error: {detail}", file=sys.stderr)
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

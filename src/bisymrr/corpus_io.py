@@ -43,7 +43,8 @@ def _writing(f):
     return open(f, "w", encoding="utf-8")
 
 
-def _format_meta_value(value) -> str:
+def _format_value(value) -> str:
+    """A header value or CSV cell: floats at 17 digits, booleans as 0/1."""
     if isinstance(value, bool):
         return str(int(value))
     if isinstance(value, float):
@@ -58,7 +59,7 @@ def write_corpus(f, corpus: ResponseCorpus, meta: Mapping[str, object] | None = 
         if key in ("width", "m"):
             continue
         fields[key] = value
-    header = " ".join(f"{k}={_format_meta_value(v)}" for k, v in fields.items())
+    header = " ".join(f"{k}={_format_value(v)}" for k, v in fields.items())
     with _writing(f) as out:
         out.write(f"# {header}\n")
         for row in corpus.bits:

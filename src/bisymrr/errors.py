@@ -1,22 +1,32 @@
-"""Domain errors shared across the package.
+"""Domain errors, each with its CLI exit code, and one checker per argument domain.
 
-Each error marks a distinct way a computation can be undefined, so the CLI can
-map them to stable exit codes and library callers can catch them selectively.
+Exit codes: 2 usage or domain error, 3 singular channel, 4 unparsable input
+file, 5 dense-width cap exceeded.  The ``check_*`` functions are the package's
+range checks on scalar arguments and return the argument; every comparison in
+them fails on NaN, and NaN is always a plain ValueError.
 """
+
+import math
 
 
 class BisymrrError(Exception):
     """Base class for all domain errors raised by this package."""
+
+    exit_code = 2
 
 
 class SingularChannelError(BisymrrError):
     """The channel parameter is 1/2: the flip matrix is singular and nothing
     about the input survives randomization, so no estimate can be recovered."""
 
+    exit_code = 3
+
 
 class WidthCapError(BisymrrError):
     """A dense matrix was requested above its fixed bit-width cap
     (:data:`~bisymrr.channel.DENSE_CAP` for ``materialize``)."""
+
+    exit_code = 5
 
 
 class DegenerateDistributionError(BisymrrError):
@@ -35,8 +45,62 @@ class CorpusFormatError(BisymrrError):
     Carries the 1-based line number when one is known.
     """
 
+    exit_code = 4
+
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def check_probability(value: float, name: str) -> float:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    return value
+
+
+def check_finite(value: float, name: str) -> float:
+    if not -math.inf < value < math.inf:
+        raise ValueError(f"{name} must be a finite number, got {value}")
+    return value
+
+
+def check_budget(eps: float) -> float:
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"budget must be positive and finite, got {eps}")
+    return eps
+
+
+def check_count(value, name: str, minimum: int = 0) -> int:
+    """An integer >= ``minimum``, returned as an int: integral floats (JSON
+    ``2.0``) pass, while 2.5, NaN and inf are refused rather than truncated."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != value or not count >= minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
+    return count
+
+
+def check_invertible(a: float, name: str = "a") -> float:
+    """A finite channel parameter other than 1/2, where the channel is singular."""
+    check_finite(a, name)
+    if a == 0.5:
+        raise SingularChannelError(
+            f"{name} = 1/2 destroys all information; the channel has no inverse"
+        )
+    return a
+
+
+def check_squared_mass(s: float) -> float:
+    """s = sum of squared cell probabilities, strictly inside (0, 1)."""
+    if not s > 0.0:
+        raise ValueError(f"sum of squared probabilities must be positive, got {s}")
+    if s >= 1.0:
+        raise DegenerateDistributionError(
+            f"sum of squared probabilities is {s}; a point mass leaves nothing "
+            "to estimate and the loss is undefined"
+        )
+    return s

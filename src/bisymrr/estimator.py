@@ -28,8 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .channel import apply_kernel, inverse_parameter
-from .errors import DegenerateDistributionError, SingularChannelError
-from .randomizer import ResponseCorpus, _check_probability
+from .errors import check_count, check_invertible, check_probability, check_squared_mass
+from .randomizer import ResponseCorpus
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,10 @@ class Histogram:
     counts: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.counts, dtype=np.int64)
+        raw = np.asarray(self.counts)
+        if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == raw.round())):
+            raise ValueError("counts must be integers")
+        arr = raw.astype(np.int64, copy=False)
         if arr.ndim != 1 or arr.size == 0 or arr.size & (arr.size - 1):
             raise ValueError(
                 f"counts length must be a power of two, got shape {arr.shape}"
@@ -64,12 +67,12 @@ def marginal_histogram(corpus: ResponseCorpus, positions: Sequence[int]) -> Hist
     The t-th listed position contributes weight 2^t to the cell index, the
     same little-endian convention the channel matrices use for whole records.
     """
-    pos = [int(p) for p in positions]
+    pos = [check_count(p, "bit position") for p in positions]
     if not pos:
         raise ValueError("at least one bit position is required")
     if any(q <= p for p, q in zip(pos, pos[1:])):
         raise ValueError(f"positions must be strictly increasing, got {pos}")
-    if pos[0] < 0 or pos[-1] >= corpus.width:
+    if pos[-1] >= corpus.width:
         raise ValueError(
             f"positions must lie in [0, {corpus.width}), got {pos}"
         )
@@ -98,7 +101,7 @@ def estimate(h: Histogram | np.ndarray, a: float) -> np.ndarray:
     may come out negative; that is the price of exact unbiasedness, and
     :func:`project_to_simplex` exists for callers who need a distribution.
     """
-    _check_probability(a, "a")
+    check_probability(a, "a")
     counts = h.counts if isinstance(h, Histogram) else Histogram(h).counts
     m = int(counts.sum())
     if m == 0:
@@ -121,10 +124,8 @@ def estimate_variance(q: np.ndarray, pi: np.ndarray, a: float, m: int) -> np.nda
     pi = np.asarray(pi, dtype=np.float64).reshape(-1)
     if q.shape != pi.shape:
         raise ValueError(f"q has {q.size} cells but pi has {pi.size}")
-    if m < 1:
-        raise ValueError(f"sample count must be positive, got {m}")
-    _check_probability(a, "a")
-    ai = inverse_parameter(a)
+    m = check_count(m, "sample count", 1)
+    ai = inverse_parameter(check_probability(a, "a"))
     bi = 1.0 - ai
     return (apply_kernel(q, ai * ai, bi * bi) - pi * pi) / m
 
@@ -135,21 +136,15 @@ def trace_constant(a: float, n: int) -> float:
     This is m times the covariance trace at s = 0, and the whole dependence of
     the estimator's cost on the channel; c = 1 means no randomization.
     """
-    if a == 0.5:
-        raise SingularChannelError(
-            "a = 1/2 destroys all information; the covariance diverges"
-        )
-    if n < 0:
-        raise ValueError(f"bit width must be non-negative, got {n}")
+    check_invertible(a)
+    n = check_count(n, "bit width")
     ratio = (a * a + (1.0 - a) ** 2) / (2.0 * a - 1.0) ** 2
     return ratio**n
 
 
 def cov_trace_closed_form(s: float, a: float, n: int, m: int) -> float:
     """Trace of the estimate's covariance: (c - s) / m, with s = sum(pi^2)."""
-    if m < 1:
-        raise ValueError(f"sample count must be positive, got {m}")
-    return (trace_constant(a, n) - s) / m
+    return (trace_constant(a, n) - s) / check_count(m, "sample count", 1)
 
 
 @dataclass(frozen=True)
@@ -173,21 +168,14 @@ class LossReport:
 
 def efficiency_loss(s: float, c: float) -> float:
     """L = (c - s) / (1 - s): how many times more samples randomization costs."""
-    if s >= 1.0:
-        raise DegenerateDistributionError(
-            f"sum of squared probabilities is {s}; a point mass leaves nothing "
-            "to estimate and the loss is undefined"
-        )
+    check_squared_mass(s)
     return (c - s) / (1.0 - s)
 
 
 def loss(s: float, a: float, n: int) -> LossReport:
     """Full loss report at bit width n: exact L for this s, plus the π-free
     floor and flat-average stand-ins."""
-    if n < 1:
-        raise ValueError(f"bit width must be positive, got {n}")
-    if s <= 0.0:
-        raise ValueError(f"sum of squared probabilities must be positive, got {s}")
+    n = check_count(n, "bit width", 1)
     c = trace_constant(a, n)
     cells = 1 << n
     return LossReport(
@@ -203,9 +191,7 @@ def loss(s: float, a: float, n: int) -> LossReport:
 def greenwood_moments(n: int) -> tuple[float, float]:
     """Mean and variance of s = sum(pi^2) under a uniformly random π on the
     2^n-cell simplex: 2/(N+1) and 4(N-1)/((N+1)^2 (N+2)(N+3)) with N = 2^n."""
-    if n < 1:
-        raise ValueError(f"bit width must be positive, got {n}")
-    cells = float(1 << n)
+    cells = float(1 << check_count(n, "bit width", 1))
     mean = 2.0 / (cells + 1.0)
     variance = 4.0 * (cells - 1.0) / ((cells + 1.0) ** 2 * (cells + 2.0) * (cells + 3.0))
     return mean, variance
@@ -219,9 +205,7 @@ def loss_approx_quality(n: int) -> float:
     and this takes the c -> infinity limit).  Meaningful for n > 2, where the
     ten-standard-deviation point s* stays safely below 1.
     """
-    if n <= 2:
-        raise ValueError(f"the bound is only valid for widths above 2, got {n}")
-    mean, variance = greenwood_moments(n)
+    mean, variance = greenwood_moments(check_count(n, "bit width", 3))
     s_star = mean + 10.0 * math.sqrt(variance)
     if s_star >= 1.0:
         raise ValueError(f"width {n} puts the expansion point past 1")

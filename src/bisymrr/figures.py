@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import apply_kernel
+from .errors import check_count
 from .estimator import efficiency_loss, estimate, trace_constant
 from .privacy import a_for_epsilon
 from .randomizer import (
@@ -46,7 +47,7 @@ def _as_generator(seed) -> np.random.Generator:
         return seed
     if isinstance(seed, RandomSeed):
         return seed.generator()
-    return RandomSeed(int(seed)).generator()
+    return RandomSeed(seed).generator()
 
 
 def sample_flat_dirichlet(cells: int, seed) -> np.ndarray:
@@ -54,10 +55,7 @@ def sample_flat_dirichlet(cells: int, seed) -> np.ndarray:
 
     Normalized unit-rate exponentials; deterministic for a given seed.
     """
-    if cells < 2:
-        raise ValueError(f"need at least 2 cells, got {cells}")
-    gen = _as_generator(seed)
-    draws = gen.standard_exponential(cells)
+    draws = _as_generator(seed).standard_exponential(check_count(cells, "cells", 2))
     return draws / draws.sum()
 
 
@@ -80,21 +78,15 @@ class ExperimentConfig:
     k: int = 1
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"bit width must be positive, got {self.n}")
-        if self.m < 1:
-            raise ValueError(f"sample count must be positive, got {self.m}")
-        if self.trials < 1:
-            raise ValueError(f"trial count must be positive, got {self.trials}")
-        if self.k < 1:
-            raise ValueError(f"k must be positive, got {self.k}")
+        for name in ("n", "m", "trials", "k"):
+            object.__setattr__(self, name, check_count(getattr(self, name), name, 1))
         if not isinstance(self.pi, str):
             arr = np.asarray(self.pi, dtype=np.float64).reshape(-1)
             if arr.size != 1 << self.n:
                 raise ValueError(
                     f"pi has {arr.size} cells, width {self.n} needs {1 << self.n}"
                 )
-            if (arr < 0).any() or abs(float(arr.sum()) - 1.0) > 1e-9:
+            if not ((arr >= 0).all() and abs(float(arr.sum()) - 1.0) <= 1e-9):
                 raise ValueError("pi must be a probability distribution")
             object.__setattr__(self, "pi", arr)
         elif self.pi != FLAT_DIRICHLET:
@@ -107,26 +99,23 @@ class ExperimentConfig:
         """Build from a flat mapping (config file or collected CLI flags)."""
         cfg = base or cls()
         known = {}
-        seed = cfg.seed.seed
-        stream = cfg.seed.stream
+        seed = {"seed": cfg.seed.seed, "stream": cfg.seed.stream}
         for key, value in raw.items():
             if value is None:
                 continue
             if key in ("n", "m", "trials", "k"):
-                known[key] = int(value)
+                known[key] = value
             elif key == "pi":
                 known["pi"] = value if isinstance(value, str) else np.asarray(value, dtype=np.float64)
             elif key == "mechanism":
                 known["mechanism"] = (
                     parse_mechanism(value) if isinstance(value, str) else value
                 )
-            elif key == "seed":
-                seed = int(value)
-            elif key == "stream":
-                stream = int(value)
+            elif key in seed:
+                seed[key] = value
             else:
                 raise ValueError(f"unknown experiment setting {key!r}")
-        known["seed"] = RandomSeed(seed, stream)
+        known["seed"] = RandomSeed(**seed)
         return replace(cfg, **known)
 
 

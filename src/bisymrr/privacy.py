@@ -15,15 +15,19 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
-    DegenerateDistributionError,
     InfiniteDisclosureError,
     SingularChannelError,
+    check_budget,
+    check_count,
+    check_probability,
 )
+from .estimator import efficiency_loss
 
 
 def likelihood_ratio(a: float) -> float:
     """Worst-case single-bit likelihood ratio r(a) = max((1-a)/a, a/(1-a))."""
-    if a <= 0.0 or a >= 1.0:
+    check_probability(a, "a")
+    if a == 0.0 or a == 1.0:
         raise InfiniteDisclosureError(
             f"a = {a} reports some bit deterministically; the likelihood "
             "ratio is unbounded and no finite budget describes it"
@@ -33,9 +37,7 @@ def likelihood_ratio(a: float) -> float:
 
 def epsilon_of(a: float, k: int) -> float:
     """Budget spent by one response when inputs differ in at most k bits."""
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    return k * math.log(likelihood_ratio(a))
+    return check_count(k, "k", 1) * math.log(likelihood_ratio(a))
 
 
 def a_for_epsilon(eps: float, k: int, lying: bool = False) -> float:
@@ -45,11 +47,7 @@ def a_for_epsilon(eps: float, k: int, lying: bool = False) -> float:
     branches spend the same budget, and ``lying=True`` selects the mirror
     image 1 - a (respondents inverting more often than not).
     """
-    if eps <= 0.0:
-        raise ValueError(f"budget must be positive, got {eps}")
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    t = math.exp(eps / k)
+    t = math.exp(check_budget(eps) / check_count(k, "k", 1))
     a = t / (1.0 + t)
     return 1.0 - a if lying else a
 
@@ -61,30 +59,20 @@ def c_at_alpha(eps: float, k: int, n: int) -> float:
     Equals ``trace_constant(a_for_epsilon(eps, k), n)``; the budget pins the
     cost no matter which mechanism dial produced it.
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    if n < 0:
-        raise ValueError(f"bit width must be non-negative, got {n}")
-    if eps <= 0.0:
+    k = check_count(k, "k", 1)
+    n = check_count(n, "bit width")
+    if eps == 0.0:
         raise SingularChannelError(
-            f"budget {eps} admits only the uninformative a = 1/2 channel; "
-            "the cost constant diverges"
+            "a zero budget allows only a = 1/2: perfectly private, perfectly useless"
         )
-    t = eps / k
+    t = check_budget(eps) / k
     return ((math.exp(2.0 * t) + 1.0) / math.expm1(t) ** 2) ** n
 
 
 def loss_at_alpha(eps: float, k: int, n: int, s: float) -> float:
     """Sample-size inflation floor imposed by the budget:
     (c_at_alpha - s) / (1 - s)."""
-    if s >= 1.0:
-        raise DegenerateDistributionError(
-            f"sum of squared probabilities is {s}; a point mass leaves "
-            "nothing to estimate and the loss is undefined"
-        )
-    if s <= 0.0:
-        raise ValueError(f"sum of squared probabilities must be positive, got {s}")
-    return (c_at_alpha(eps, k, n) - s) / (1.0 - s)
+    return efficiency_loss(s, c_at_alpha(eps, k, n))
 
 
 @dataclass(frozen=True)
@@ -95,10 +83,8 @@ class PrivacyBudget:
     k: int
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError(f"budget must be positive, got {self.epsilon}")
-        if self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
+        check_budget(self.epsilon)
+        object.__setattr__(self, "k", check_count(self.k, "k", 1))
 
 
 @dataclass(frozen=True)
@@ -114,22 +100,19 @@ class PrivacyReport:
 
 
 def report_for_a(a: float, k: int, n: int, s: float) -> PrivacyReport:
-    """Privacy report starting from the channel parameter."""
+    """Privacy report starting from the channel parameter (a = 1/2, budget 0,
+    is singular in :func:`c_at_alpha`)."""
     ratio = likelihood_ratio(a)
     per_bit = math.log(ratio)
     total = k * per_bit
-    if a == 0.5:
-        raise SingularChannelError(
-            "a = 1/2 is perfectly private and perfectly useless; the cost "
-            "constant diverges"
-        )
+    c = c_at_alpha(total, k, n)
     return PrivacyReport(
         a=a,
         ratio=ratio,
         epsilon_per_bit=per_bit,
         epsilon_total=total,
-        c_at_alpha=c_at_alpha(total, k, n),
-        loss_at_alpha=loss_at_alpha(total, k, n, s),
+        c_at_alpha=c,
+        loss_at_alpha=efficiency_loss(s, c),
     )
 
 

@@ -23,6 +23,8 @@ from typing import Union
 
 import numpy as np
 
+from .errors import check_count, check_probability
+
 
 @dataclass(frozen=True)
 class RandomSeed:
@@ -30,15 +32,23 @@ class RandomSeed:
 
     Same (seed, stream) always yields the same bits.  Distinct streams under
     one seed are independent; use them to separate purposes (per-trial,
-    per-corpus) without coordinating counter offsets.
+    per-corpus) without coordinating counter offsets.  Both must lie in
+    [0, 2^64), so that distinct pairs are distinct keys.
     """
 
     seed: int
     stream: int = 0
 
+    def __post_init__(self):
+        for name in ("seed", "stream"):
+            value = check_count(getattr(self, name), name)
+            if value >= 2**64:
+                raise ValueError(f"{name} must be below 2^64, got {value}")
+            object.__setattr__(self, name, value)
+
     def _key(self) -> int:
         # Philox takes a 128-bit key; pack seed and stream into the two halves.
-        return (self.seed % 2**64) | ((self.stream % 2**64) << 64)
+        return self.seed | (self.stream << 64)
 
     def generator(self) -> np.random.Generator:
         """Fresh generator at the start of this stream."""
@@ -50,8 +60,8 @@ class RandomSeed:
         Philox advances in 4-draw blocks, so position index*width is reached
         by advancing whole blocks and discarding the remainder.
         """
-        if index < 0 or width < 0:
-            raise ValueError("record index and width must be non-negative")
+        index = check_count(index, "record index")
+        width = check_count(width, "width")
         q, r = divmod(index * width, 4)
         bits = np.random.Philox(key=self._key())
         bits.advance(q)
@@ -94,11 +104,6 @@ class ResponseCorpus:
         )
 
 
-def _check_probability(value: float, name: str) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
-
-
 @dataclass(frozen=True)
 class Direct:
     """Report each bit truthfully with probability a, flipped otherwise."""
@@ -106,7 +111,7 @@ class Direct:
     a: float
 
     def __post_init__(self):
-        _check_probability(self.a, "a")
+        check_probability(self.a, "a")
 
     def effective_a(self) -> float:
         return self.a
@@ -120,7 +125,7 @@ class Warner:
     p: float
 
     def __post_init__(self):
-        _check_probability(self.p, "p")
+        check_probability(self.p, "p")
 
     def effective_a(self) -> float:
         return self.p
@@ -134,7 +139,7 @@ class UnrelatedUniform:
     p: float
 
     def __post_init__(self):
-        _check_probability(self.p, "p")
+        check_probability(self.p, "p")
 
     def effective_a(self) -> float:
         # truthful unless the unrelated coin both fires and disagrees
@@ -149,7 +154,7 @@ class RapporOneTime:
     f: float
 
     def __post_init__(self):
-        _check_probability(self.f, "f")
+        check_probability(self.f, "f")
 
     def effective_a(self) -> float:
         return (2.0 - self.f) / 2.0
@@ -171,8 +176,8 @@ class RapporFull:
     p: float | None = None
 
     def __post_init__(self):
-        _check_probability(self.f, "f")
-        _check_probability(self.q, "q")
+        check_probability(self.f, "f")
+        check_probability(self.q, "q")
         # absolute tolerance: 0.3 and 1 - 0.7 differ by one ulp
         if self.p is not None and not math.isclose(
             self.p, 1.0 - self.q, rel_tol=0.0, abs_tol=1e-12
@@ -244,6 +249,7 @@ def randomize(
     ``randomize(c.bits[j], a, seed, index=j)`` reproduces record j of
     ``randomize_corpus(c, a, seed)`` exactly.
     """
+    check_probability(a, "a")
     x = np.asarray(x, dtype=np.uint8)
     u = seed.record_uniforms(index, x.shape[-1])
     # P(u >= a) = 1 - a, with exact behavior at a = 0 (always flip, since
@@ -259,6 +265,7 @@ def randomize_corpus(c: ResponseCorpus, a: float, seed: RandomSeed) -> ResponseC
     block, so the result matches per-record :func:`randomize` calls and is
     independent of chunking.
     """
+    check_probability(a, "a")
     u = seed.generator().random((c.m, c.width))
     flips = (u >= a).astype(np.uint8)
     return ResponseCorpus(c.bits ^ flips)

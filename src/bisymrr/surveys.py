@@ -12,34 +12,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SingularChannelError
+from .errors import SingularChannelError, check_count, check_invertible, check_probability
 
 
 def unrelated_c(p: float, n: int) -> float:
     """Cost constant of the unrelated-question design at dial p:
     ((p^2 - 2p + 2) / (2 (p - 1)^2))^n, the channel constant at a = (2-p)/2."""
-    if not 0.0 <= p < 1.0:
-        if p == 1.0:
-            raise SingularChannelError(
-                "p = 1 always answers the coin (a = 1/2); the cost diverges"
-            )
-        raise ValueError(f"p must lie in [0, 1), got {p}")
-    if n < 0:
-        raise ValueError(f"bit width must be non-negative, got {n}")
+    check_probability(p, "p")
+    if p == 1.0:
+        raise SingularChannelError(
+            "p = 1 always answers the coin (a = 1/2); the cost diverges"
+        )
+    n = check_count(n, "bit width")
     return ((p * p - 2.0 * p + 2.0) / (2.0 * (p - 1.0) ** 2)) ** n
 
 
 def warner_c(p: float, n: int) -> float:
     """Cost constant of the coin-flip design at dial p:
     ((2p^2 - 2p + 1) / (2p - 1)^2)^n, the channel constant at a = p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if p == 0.5:
-        raise SingularChannelError(
-            "p = 1/2 answers at random (a = 1/2); the cost diverges"
-        )
-    if n < 0:
-        raise ValueError(f"bit width must be non-negative, got {n}")
+    check_probability(p, "p")
+    check_invertible(p, "p")
+    n = check_count(n, "bit width")
     return ((2.0 * p * p - 2.0 * p + 1.0) / (2.0 * p - 1.0) ** 2) ** n
 
 

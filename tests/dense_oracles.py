@@ -11,8 +11,11 @@ from math import comb
 import numpy as np
 
 from bisymrr.channel import inverse_parameter, materialize
-from bisymrr.errors import DegenerateDistributionError, WidthCapError
-from bisymrr.randomizer import _check_probability
+from bisymrr.errors import (
+    DegenerateDistributionError,
+    WidthCapError,
+    check_probability,
+)
 
 # The covariance is a dense triple product; 2^8 keeps it a 256x256 affair.
 COVARIANCE_CAP = 8
@@ -74,7 +77,7 @@ def unrelated_channel_entry(p: float, n: int, r: int, x: int) -> float:
     to ``entry_at((2 - p) / 2, n, r, x)``; kept as an independent route for
     cross-checking that reduction.
     """
-    _check_probability(p, "p")
+    check_probability(p, "p")
     if n < 0:
         raise ValueError(f"bit width must be non-negative, got {n}")
     dim = 1 << n

@@ -349,6 +349,91 @@ class TestTopLevel:
         assert "error" in err
 
 
+class TestClosedHoles:
+    """Inputs that once printed NaN or inf with exit 0, escaped as a
+    traceback, or failed with an unrelated message."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("privacy", "--a", "nan", "--n", "2"),
+            ("privacy", "--a", "0.75", "--n", "1", "--s", "nan"),
+            ("privacy", "--epsilon", "nan", "--n", "1"),
+            ("privacy", "--epsilon", "inf", "--n", "1"),
+            ("loss", "--a", "0.75", "--n", "2", "--s", "nan"),
+            ("matrix", "nan", "1"),
+            ("matrix", "1e200", "2"),
+            ("matrix", "-0.5", "1", "--inverse"),
+        ],
+    )
+    def test_non_finite_or_out_of_range_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("privacy", "--epsilon", "1000", "--n", "1"),
+            ("loss", "--a", "0.6", "--n", "2000", "--s", "0.5"),
+            ("loss", "--a", "0.5000000001", "--n", "40", "--s", "0.5"),
+            ("figures", "2a", "--n", "1000"),
+        ],
+    )
+    def test_overflow_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: numerical overflow")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("privacy", "--a", "0.75", "--n", "-1"),
+            ("loss", "--a", "0.75", "--n", "-1", "--s", "0.5"),
+        ],
+    )
+    def test_negative_width_named(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: bit width must be an integer >= ")
+
+    def test_negative_width_with_pi_file(self, tmp_path, capsys):
+        pi = tmp_path / "pi.txt"
+        pi.write_text("0.5 0.5\n")
+        code, _, err = run(capsys, "loss", "--a", "0.75", "--n", "-1", "--pi", str(pi))
+        assert code == 2
+        assert err.startswith("error: bit width must be an integer >= 1")
+
+    @pytest.mark.parametrize("flag", ["--seed", "--stream"])
+    def test_negative_seed_exits_2(self, capsys, flag):
+        code, _, err = run(capsys, "figures", "2a", flag, "-1")
+        assert code == 2
+        assert err.startswith(f"error: {flag[2:]} must be an integer >= 0")
+
+    def test_fractional_config_count_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 1.5}))
+        code, _, err = run(capsys, "figures", "1c", "--config", str(cfg))
+        assert code == 2
+        assert "trials must be an integer" in err
+
+    def test_integral_float_config_count_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 2.0, "seed": 9.0}))
+        code, out, _ = run(capsys, "figures", "1c", "--config", str(cfg))
+        assert code == 0
+        assert "trials=2 " in out and "seed=9 " in out
+
+    def test_figures_a_and_mechanism_conflict(self, capsys):
+        code, _, err = run(
+            capsys, "figures", "2a", "--a", "0.75", "--mechanism", "warner:0.7"
+        )
+        assert code == 2
+        assert "not both" in err
+
+
 class TestBrokenPipe:
     def test_piped_reader_exiting_early_is_quiet(self):
         # drives the installed console path for real; head closes the pipe

@@ -62,6 +62,21 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram(np.array([1, -1]))
 
+    @pytest.mark.parametrize(
+        "counts", [[2.7, 1.2], [2.0, float("nan")], [float("inf"), 1.0]]
+    )
+    def test_fractional_and_non_finite_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="integers"):
+            Histogram(counts)
+
+    def test_integral_float_counts_accepted(self):
+        h = Histogram([2.0, 1.0])
+        assert h.counts.dtype == np.int64 and h.counts.tolist() == [2, 1]
+
+    def test_fractional_position_rejected(self):
+        with pytest.raises(ValueError, match="bit position"):
+            marginal_histogram(CORPUS, [0.5])
+
 
 class TestEstimate:
     def test_identity_channel(self):
@@ -245,6 +260,10 @@ class TestLoss:
     def test_nonpositive_s_rejected(self):
         with pytest.raises(ValueError):
             loss(0.0, 0.75, 2)
+
+    def test_nan_s_rejected(self):
+        with pytest.raises(ValueError, match="squared probabilities"):
+            loss(float("nan"), 0.75, 2)
 
     @pytest.mark.parametrize("a", [0.6, 0.75, 0.9])
     @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -85,6 +87,20 @@ class TestExperimentConfig:
         assert cfg.mechanism == Warner(0.7)
         assert cfg.seed == RandomSeed(5, 2)
         assert cfg.m == base.m  # untouched settings survive
+
+    @pytest.mark.parametrize("key", ["n", "m", "trials", "k", "seed", "stream"])
+    def test_from_mapping_rejects_fractional_counts(self, key):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            ExperimentConfig.from_mapping({key: 2.5})
+
+    def test_from_mapping_accepts_integral_floats(self):
+        cfg = ExperimentConfig.from_mapping({"n": 2.0, "m": 7.0, "seed": 3.0})
+        assert (cfg.n, cfg.m, cfg.seed.seed) == (2, 7, 3)
+        assert type(cfg.n) is int and type(cfg.seed.seed) is int
+
+    def test_nan_pi_rejected(self):
+        with pytest.raises(ValueError, match="distribution"):
+            ExperimentConfig(n=1, pi=[float("nan"), 1.0])
 
     def test_from_mapping_ignores_none(self):
         cfg = ExperimentConfig.from_mapping({"n": None, "m": 50})
@@ -238,3 +254,17 @@ class TestBuildFigure:
     def test_unknown_id(self):
         with pytest.raises(ValueError, match="unknown figure"):
             build_figure("3z", ExperimentConfig())
+
+
+def test_reproduction_script_matches_committed_datasets(tmp_path, capsys):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "reproduce_figures", root / "scripts" / "reproduce_figures.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.run(str(tmp_path)) == 0
+    capsys.readouterr()
+    for which in sorted(FIGURES):
+        name = f"figure_{which}.csv"
+        assert (tmp_path / name).read_bytes() == (root / "out" / name).read_bytes(), name

@@ -115,6 +115,15 @@ class TestCAtAlpha:
         with pytest.raises(SingularChannelError):
             c_at_alpha(0.0, 1, 2)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
+    def test_non_budget_is_a_value_error(self, eps):
+        with pytest.raises(ValueError):
+            c_at_alpha(eps, 1, 2)
+
+    def test_nan_s_rejected(self):
+        with pytest.raises(ValueError, match="squared probabilities"):
+            loss_at_alpha(1.0, 1, 2, float("nan"))
+
     def test_loss_at_alpha_composes(self):
         eps, k, n, s = 1.0, 2, 3, 0.2
         c = c_at_alpha(eps, k, n)
@@ -154,6 +163,11 @@ class TestReports:
             assert rep.epsilon_total == pytest.approx(eps, abs=1e-12)
             back = report_for_a(rep.a, k=2, n=3, s=0.125)
             assert back.c_at_alpha == pytest.approx(rep.c_at_alpha, rel=1e-12)
+
+    @pytest.mark.parametrize("a", [float("nan"), 1.5, -0.25])
+    def test_report_for_a_rejects_non_probability(self, a):
+        with pytest.raises(ValueError, match="a must lie in"):
+            report_for_a(a, k=1, n=1, s=0.5)
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):

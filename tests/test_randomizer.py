@@ -247,6 +247,28 @@ class TestRandomSeed:
             RandomSeed(5, 6).generator().random(8), RandomSeed(5, 6).generator().random(8)
         )
 
+    @pytest.mark.parametrize(
+        "seed,stream", [(-1, 0), (0, -1), (2**64, 0), (0, 2**64), (1.5, 0), (0, 0.5)]
+    )
+    def test_seed_and_stream_lie_in_64_bits(self, seed, stream):
+        with pytest.raises(ValueError):
+            RandomSeed(seed, stream)
+
+    def test_largest_seed_and_stream_accepted(self):
+        top = RandomSeed(2**64 - 1, 2**64 - 1)
+        assert top.generator().random() != RandomSeed(0, 0).generator().random()
+
+    def test_integral_float_seed_is_an_int(self):
+        assert RandomSeed(5.0, np.int64(2)) == RandomSeed(5, 2)
+        assert type(RandomSeed(5.0).seed) is int
+
+    def test_randomize_rejects_nan_channel(self):
+        corpus = ResponseCorpus(np.zeros((2, 3), dtype=np.uint8))
+        with pytest.raises(ValueError, match="a must lie in"):
+            randomize_corpus(corpus, float("nan"), RandomSeed(0))
+        with pytest.raises(ValueError, match="a must lie in"):
+            randomize(corpus.bits[0], float("nan"), RandomSeed(0))
+
     def test_record_uniform_bounds_checked(self):
         with pytest.raises(ValueError):
             RandomSeed(1).record_uniforms(-1, 2)
