@@ -26,7 +26,7 @@ from .corpus_io import (
     _format_value,
     _writing,
 )
-from .errors import BisymrrError, CorpusFormatError, check_count, check_probability
+from .errors import BisymrrError, CorpusFormatError, check_probability, check_width
 from .estimator import (
     estimate,
     loss,
@@ -152,7 +152,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_loss(args) -> int:
     a = effective_a(_mechanism_from_args(args))
-    n = check_count(args.n, "bit width", 1)
+    n = check_width(args.n, 1)
     if (args.s is None) == (args.pi is None):
         raise ValueError("give exactly one of --s or --pi")
     if args.pi is not None:
@@ -180,7 +180,7 @@ def cmd_loss(args) -> int:
 def cmd_privacy(args) -> int:
     if (args.a is None) == (args.epsilon is None):
         raise ValueError("give exactly one of --a or --epsilon")
-    n = check_count(args.n, "bit width")
+    n = check_width(args.n)
     k = args.k if args.k is not None else n
     s = args.s if args.s is not None else 1.0 / (1 << n)
     a = args.a if args.epsilon is None else a_for_epsilon(args.epsilon, k)

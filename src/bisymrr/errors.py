@@ -84,6 +84,21 @@ def check_count(value, name: str, minimum: int = 0) -> int:
     return count
 
 
+# Widest record the closed forms take: 2.0 ** 1024 is not a finite float, so
+# beyond it no cell count, flat mass or loss exists.
+MAX_WIDTH = 1023
+
+
+def check_width(n, minimum: int = 0) -> int:
+    """A bit width for the closed forms.  Above :data:`MAX_WIDTH` it raises
+    the OverflowError that ``float(1 << n)`` would, but before anything
+    builds ``1 << n``."""
+    n = check_count(n, "bit width", minimum)
+    if n > MAX_WIDTH:
+        raise OverflowError(f"2^n is not a finite float for bit width {n} (at most {MAX_WIDTH})")
+    return n
+
+
 def check_invertible(a: float, name: str = "a") -> float:
     """A finite channel parameter other than 1/2, where the channel is singular."""
     check_finite(a, name)

@@ -28,7 +28,13 @@ from typing import Sequence
 import numpy as np
 
 from .channel import apply_kernel, inverse_parameter
-from .errors import check_count, check_invertible, check_probability, check_squared_mass
+from .errors import (
+    check_count,
+    check_invertible,
+    check_probability,
+    check_squared_mass,
+    check_width,
+)
 from .randomizer import ResponseCorpus
 
 
@@ -175,7 +181,7 @@ def efficiency_loss(s: float, c: float) -> float:
 def loss(s: float, a: float, n: int) -> LossReport:
     """Full loss report at bit width n: exact L for this s, plus the π-free
     floor and flat-average stand-ins."""
-    n = check_count(n, "bit width", 1)
+    n = check_width(n, 1)
     c = trace_constant(a, n)
     cells = 1 << n
     return LossReport(
@@ -191,7 +197,7 @@ def loss(s: float, a: float, n: int) -> LossReport:
 def greenwood_moments(n: int) -> tuple[float, float]:
     """Mean and variance of s = sum(pi^2) under a uniformly random π on the
     2^n-cell simplex: 2/(N+1) and 4(N-1)/((N+1)^2 (N+2)(N+3)) with N = 2^n."""
-    cells = float(1 << check_count(n, "bit width", 1))
+    cells = float(1 << check_width(n, 1))
     mean = 2.0 / (cells + 1.0)
     variance = 4.0 * (cells - 1.0) / ((cells + 1.0) ** 2 * (cells + 2.0) * (cells + 3.0))
     return mean, variance

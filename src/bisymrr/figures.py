@@ -126,7 +126,11 @@ def _trial_seed(cfg: ExperimentConfig, trial: int) -> RandomSeed:
 
 
 def _cell_labels(n: int) -> list[str]:
-    return ["".join(str((i >> t) & 1) for t in range(n)) for i in range(1 << n)]
+    """Bit pattern of each of the 2^n cells, lowest bit first."""
+    if n == 0:
+        return [""]
+    digits = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(np.uint8) + ord("0")
+    return digits.view(f"S{n}").ravel().astype(str).tolist()
 
 
 def figure_1a(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:

@@ -66,7 +66,11 @@ def c_at_alpha(eps: float, k: int, n: int) -> float:
             "a zero budget allows only a = 1/2: perfectly private, perfectly useless"
         )
     t = check_budget(eps) / k
-    return ((math.exp(2.0 * t) + 1.0) / math.expm1(t) ** 2) ** n
+    square = math.expm1(t) ** 2
+    base = (math.exp(2.0 * t) + 1.0) / square if square else math.inf
+    if base == math.inf and n:
+        raise OverflowError(f"c at budget {eps} over {k} bits exceeds the float range")
+    return base ** n
 
 
 def loss_at_alpha(eps: float, k: int, n: int, s: float) -> float:

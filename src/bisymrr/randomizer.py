@@ -71,6 +71,17 @@ class RandomSeed:
         return gen.random(width)
 
 
+def _all_bits(arr: np.ndarray) -> bool:
+    """Every entry is 0 or 1, checked in the array's own dtype so that nothing
+    is wrapped or truncated first (256, -255, 1.5 and NaN all fail)."""
+    kind = arr.dtype.kind
+    if kind == "b":
+        return True
+    if kind in "ui":
+        return bool(arr.max() <= 1 and (kind == "u" or arr.min() >= 0))
+    return bool(((arr == 0) | (arr == 1)).all())
+
+
 @dataclass(frozen=True)
 class ResponseCorpus:
     """An ordered batch of same-width binary records, one record per row."""
@@ -78,12 +89,12 @@ class ResponseCorpus:
     bits: np.ndarray  # shape (m, width), values in {0, 1}
 
     def __post_init__(self):
-        arr = np.asarray(self.bits, dtype=np.uint8)
+        arr = np.asarray(self.bits)
         if arr.ndim != 2:
             raise ValueError(f"corpus must be 2-dimensional, got shape {arr.shape}")
-        if arr.size and not np.isin(arr, (0, 1)).all():
+        if arr.size and not _all_bits(arr):
             raise ValueError("corpus entries must all be 0 or 1")
-        object.__setattr__(self, "bits", arr)
+        object.__setattr__(self, "bits", arr.astype(np.uint8, copy=False))
 
     @property
     def m(self) -> int:

@@ -1,0 +1,86 @@
+"""Line-at-a-time corpus reader and writer, for cross-checks only.
+
+These are the package's original pure-Python corpus routines: the writer
+joins each row with ``","`` and the reader splits the file into lines and
+checks every field.  The package now decodes and encodes whole byte buffers
+with numpy; tests hold it to the same bytes, the same corpora and the same
+``CorpusFormatError`` messages and line numbers as these.
+"""
+
+from typing import Mapping
+
+import numpy as np
+
+from bisymrr import CorpusFormatError, ResponseCorpus
+from bisymrr.corpus_io import _format_value, _reading, _writing
+
+
+def write_corpus_rows(f, corpus: ResponseCorpus, meta: Mapping[str, object] | None = None) -> None:
+    fields = {"width": corpus.width, "m": corpus.m}
+    for key, value in (meta or {}).items():
+        if key in ("width", "m"):
+            continue
+        fields[key] = value
+    header = " ".join(f"{k}={_format_value(v)}" for k, v in fields.items())
+    with _writing(f) as out:
+        out.write(f"# {header}\n")
+        for row in corpus.bits:
+            out.write(",".join(str(int(b)) for b in row) + "\n")
+
+
+def read_corpus_lines(f) -> tuple[ResponseCorpus, dict[str, str]]:
+    with _reading(f) as src:
+        lines = src.read().splitlines()
+    if not lines or not lines[0].lstrip().startswith("#"):
+        raise CorpusFormatError("missing '# width=... m=...' header", line=1)
+    meta: dict[str, str] = {}
+    for token in lines[0].lstrip()[1:].split():
+        key, sep, value = token.partition("=")
+        if not sep:
+            raise CorpusFormatError(f"header token {token!r} is not key=value", line=1)
+        meta[key] = value
+    try:
+        width = int(meta["width"])
+        m = int(meta["m"])
+    except KeyError as exc:
+        raise CorpusFormatError(f"header lacks required key {exc}", line=1) from exc
+    except ValueError as exc:
+        raise CorpusFormatError(f"bad header integer: {exc}", line=1) from exc
+    if width < 1:
+        raise CorpusFormatError(f"width must be positive, got {width}", line=1)
+    if m < 0:
+        raise CorpusFormatError(f"record count must be non-negative, got {m}", line=1)
+
+    rows = np.zeros((m, width), dtype=np.uint8)
+    seen = 0
+    for line_no, raw in enumerate(lines[1:], start=2):
+        text = raw.strip()
+        if not text:
+            continue
+        if seen >= m:
+            raise CorpusFormatError(
+                f"more data rows than the declared m={m}", line=line_no
+            )
+        parts = text.split(",")
+        if len(parts) != width:
+            raise CorpusFormatError(
+                f"expected {width} comma-separated bits, got {len(parts)}",
+                line=line_no,
+            )
+        for j, part in enumerate(parts):
+            bit = part.strip()
+            if bit == "0":
+                continue
+            if bit == "1":
+                rows[seen, j] = 1
+            else:
+                raise CorpusFormatError(
+                    f"field {j} is {part!r}, expected 0 or 1", line=line_no
+                )
+        seen += 1
+    if seen != m:
+        raise CorpusFormatError(
+            f"header declared m={m} but found {seen} data rows",
+            line=len(lines) + 1,
+        )
+    return ResponseCorpus(rows), meta

@@ -399,6 +399,22 @@ class TestClosedHoles:
         assert code == 2
         assert err.startswith("error: bit width must be an integer >= ")
 
+    @pytest.mark.parametrize("n", ["1024", "1000000000"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("loss", "--a", "1", "--s", "0.5"),
+            ("loss", "--a", "0.75", "--s", "0.5"),
+            ("privacy", "--a", "0.75"),
+            ("privacy", "--a", "0.75", "--k", "1", "--s", "0.5"),
+        ],
+    )
+    def test_width_beyond_float_range_exits_2(self, capsys, argv, n):
+        code, out, err = run(capsys, *argv, "--n", n)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: numerical overflow: 2^n is not a finite float")
+
     def test_negative_width_with_pi_file(self, tmp_path, capsys):
         pi = tmp_path / "pi.txt"
         pi.write_text("0.5 0.5\n")

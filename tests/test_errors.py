@@ -21,6 +21,7 @@ from bisymrr.errors import (
     check_invertible,
     check_probability,
     check_squared_mass,
+    check_width,
 )
 
 NAN = float("nan")
@@ -115,6 +116,27 @@ def test_budget(value, expected):
 )
 def test_count(value, minimum, expected):
     assert outcome(check_count, value, "count", minimum) is expected
+
+
+@pytest.mark.parametrize(
+    "value,minimum,expected",
+    [
+        (NAN, 0, ValueError),
+        (INF, 0, ValueError),
+        (-1, 0, ValueError),
+        (2.5, 0, ValueError),
+        (0, 1, ValueError),
+        (1024, 0, OverflowError),
+        (10**9, 1, OverflowError),
+        (2**70, 0, OverflowError),
+        (0, 0, None),
+        (1, 1, None),
+        (1023.0, 1, None),
+        (np.int64(1023), 0, None),
+    ],
+)
+def test_width(value, minimum, expected):
+    assert outcome(check_width, value, minimum) is expected
 
 
 def test_count_returns_python_int():

@@ -265,6 +265,16 @@ class TestLoss:
         with pytest.raises(ValueError, match="squared probabilities"):
             loss(float("nan"), 0.75, 2)
 
+    @pytest.mark.parametrize("n", [1024, 10**9, 10**12])
+    def test_width_beyond_float_range_refused(self, n):
+        with pytest.raises(OverflowError, match="at most 1023"):
+            loss(0.5, 1.0, n)
+        with pytest.raises(OverflowError, match="at most 1023"):
+            greenwood_moments(n)
+
+    def test_widest_float_width_accepted(self):
+        assert loss(0.5, 1.0, 1023).loss_floor == 1.0
+
     @pytest.mark.parametrize("a", [0.6, 0.75, 0.9])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_floor_is_a_floor(self, a, n):

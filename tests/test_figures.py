@@ -11,6 +11,7 @@ from bisymrr.figures import (
     FIGURE_DEFAULTS,
     FIGURES,
     ExperimentConfig,
+    _cell_labels,
     build_figure,
     figure_1a,
     figure_1b,
@@ -23,6 +24,12 @@ from bisymrr.figures import (
 
 def default_cfg(which: str, **overrides) -> ExperimentConfig:
     return ExperimentConfig.from_mapping({**FIGURE_DEFAULTS[which], **overrides})
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_cell_labels_match_bit_by_bit_expression(n):
+    expected = ["".join(str((i >> t) & 1) for t in range(n)) for i in range(1 << n)]
+    assert _cell_labels(n) == expected
 
 
 class TestFlatDirichlet:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bisymrr import (
     CorpusFormatError,
     ResponseCorpus,
+    corpus_io,
     format_float,
     materialize,
     read_corpus,
@@ -16,6 +17,8 @@ from bisymrr import (
     write_corpus,
     write_matrix,
 )
+from bisymrr.corpus_io import _format_value
+from corpus_oracles import read_corpus_lines, write_corpus_rows
 
 CORPUS = ResponseCorpus(np.array([[0, 1, 1], [1, 0, 0], [1, 1, 1], [0, 0, 0]], dtype=np.uint8))
 
@@ -94,6 +97,133 @@ class TestCorpusErrors:
     def test_empty_stream(self):
         with pytest.raises(CorpusFormatError):
             self.parse("")
+
+
+def corpora(max_m: int = 60, max_width: int = 20):
+    return st.builds(
+        lambda m, width, seed: ResponseCorpus(
+            np.random.default_rng(seed).integers(0, 2, (m, width), dtype=np.uint8)
+        ),
+        st.integers(0, max_m),
+        st.integers(1, max_width),
+        st.integers(0, 2**32 - 1),
+    )
+
+
+# Header tokens are split on whitespace and the line ends at any line break,
+# so keys and values may hold any character but those (and keys no '=').
+_TOKEN_CHARS = st.characters(blacklist_categories=("Z", "C"))
+extra_meta = st.dictionaries(
+    st.text(_TOKEN_CHARS, min_size=1, max_size=6).filter(
+        lambda k: "=" not in k and k not in ("width", "m")
+    ),
+    st.text(_TOKEN_CHARS, max_size=6)
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.booleans(),
+    max_size=4,
+)
+
+
+def written(corpus, meta=None, writer=write_corpus) -> str:
+    buf = io.StringIO()
+    writer(buf, corpus, meta)
+    return buf.getvalue()
+
+
+def outcome(reader, text: str):
+    """What a reader makes of a file: the corpus and header, or the error
+    message and line number."""
+    try:
+        corpus, meta = reader(io.StringIO(text))
+    except CorpusFormatError as exc:
+        return ("error", str(exc), exc.line)
+    return ("ok", corpus.bits.shape, corpus.bits.tobytes(), meta)
+
+
+class TestVectorizedCorpusIO:
+    @given(corpus=corpora(), meta=extra_meta)
+    @settings(max_examples=200, deadline=None)
+    def test_roundtrip(self, corpus, meta):
+        got, header = read_corpus(io.StringIO(written(corpus, meta)))
+        assert got == corpus
+        expected = {"width": str(corpus.width), "m": str(corpus.m)}
+        expected.update({k: _format_value(v) for k, v in meta.items()})
+        assert header == expected
+
+    @given(corpus=corpora(), meta=extra_meta)
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_match_row_join_writer(self, corpus, meta):
+        assert written(corpus, meta) == written(corpus, meta, write_corpus_rows)
+
+    def test_file_bytes_match_row_join_writer(self, tmp_path):
+        corpus = ResponseCorpus(np.random.default_rng(4).integers(0, 2, (300, 7)))
+        write_corpus(tmp_path / "new.csv", corpus, {"a": 0.75, "seed": 3})
+        write_corpus_rows(tmp_path / "old.csv", corpus, {"a": 0.75, "seed": 3})
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @given(corpus=corpora(max_m=8, max_width=6), data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_one_byte_mutation_matches_line_parser(self, corpus, data):
+        text = written(corpus, {"a": 0.75})
+        op = data.draw(st.sampled_from(["replace", "delete", "insert"]))
+        i = data.draw(st.integers(0, len(text) - (op != "insert")))
+        char = data.draw(st.sampled_from("01,\n\r \t2x#=-\x0c\u2028\xe9"))
+        if op == "replace":
+            text = text[:i] + char + text[i + 1:]
+        elif op == "delete":
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + char + text[i:]
+        assert outcome(read_corpus, text) == outcome(read_corpus_lines, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# width=3 m=2\r\n0,1,1\r\n1,0,0\r\n",
+            "# width=3 m=2\n\n0,1,1\n\n1,0,0\n",
+            "# width=3 m=2\n0,1,1\n1,0,0\n\n\n",
+            "# width=3 m=2\n 0 , 1,1 \n1,\t0,0\n",
+            "# width=3 m=2\n0,1,1\n1,0,0",
+            "# width=3 m=2\r0,1,1\r1,0,0\r",
+        ],
+        ids=["crlf", "blank-lines", "trailing-blank-lines", "spaces", "no-final-newline", "cr"],
+    )
+    def test_lenient_forms_parse_to_the_same_corpus(self, text):
+        got, _ = read_corpus(io.StringIO(text))
+        assert got == ResponseCorpus(np.array([[0, 1, 1], [1, 0, 0]]))
+        assert outcome(read_corpus, text) == outcome(read_corpus_lines, text)
+
+    def test_crlf_file_on_disk(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"# width=2 m=2\r\n0,1\r\n1,1\r\n")
+        got, _ = read_corpus(path)
+        assert got == ResponseCorpus(np.array([[0, 1], [1, 1]]))
+
+    def test_well_formed_file_skips_the_line_parser(self, monkeypatch):
+        text = written(CORPUS, {"note": "\xe9t\xe9"})
+
+        def refuse(*args):
+            raise AssertionError("line parser ran on a well-formed file")
+
+        monkeypatch.setattr(corpus_io, "_parse_rows", refuse)
+        got, meta = read_corpus(io.StringIO(text))
+        assert got == CORPUS and meta["note"] == "\xe9t\xe9"
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("# width=2 m=2\n0,1\n1;1\n", 3),
+            ("# width=2 m=2\n0,1\n1,1,\n", 3),
+            ("# width=2 m=1\n0,1\n1,1\n", 3),
+            ("# width=2 m=3\n0,1\n1,1\n", 4),
+        ],
+    )
+    def test_malformed_body_keeps_its_line_number(self, text, line):
+        with pytest.raises(CorpusFormatError) as info:
+            read_corpus(io.StringIO(text))
+        assert info.value.line == line
+        assert outcome(read_corpus, text) == outcome(read_corpus_lines, text)
 
 
 class TestMatrix:

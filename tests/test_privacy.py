@@ -111,6 +111,15 @@ class TestCAtAlpha:
         for n in (2, 5, 9):
             assert c_at_alpha(1.0, 1, n) == pytest.approx(base**n, rel=1e-12)
 
+    @pytest.mark.parametrize("eps", [1e-200, 1e-160])
+    def test_tiny_budget_overflows(self, eps):
+        # (e^t - 1)^2 underflows to 0 (1e-200) or the ratio to inf (1e-160)
+        with pytest.raises(OverflowError):
+            c_at_alpha(eps, 1, 1)
+
+    def test_tiny_budget_at_width_zero(self):
+        assert c_at_alpha(1e-200, 1, 0) == 1.0
+
     def test_zero_budget_rejected(self):
         with pytest.raises(SingularChannelError):
             c_at_alpha(0.0, 1, 2)

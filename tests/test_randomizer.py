@@ -99,6 +99,23 @@ class TestCorpus:
         with pytest.raises(ValueError):
             ResponseCorpus(np.array([0, 1]))
 
+    @pytest.mark.parametrize(
+        "bits",
+        [[[256, 1]], [[1.5, 0.0]], [[-255, 1]], [[np.nan, 1.0]], [[-1, 0]], [[0.5, 1.0]]],
+        ids=["wraps-to-0", "truncates-to-1", "wraps-to-1", "nan", "negative", "half"],
+    )
+    def test_checks_values_before_casting(self, bits):
+        with pytest.raises(ValueError, match="0 or 1"):
+            ResponseCorpus(np.array(bits))
+
+    @pytest.mark.parametrize(
+        "dtype", [bool, np.uint8, np.uint16, np.int8, np.int64, np.float32, np.float64]
+    )
+    def test_accepts_zero_one_in_any_numeric_dtype(self, dtype):
+        c = ResponseCorpus(np.array([[0, 1], [1, 1]], dtype=dtype))
+        assert c.bits.dtype == np.uint8
+        assert c.bits.tolist() == [[0, 1], [1, 1]]
+
     def test_shape_properties(self):
         c = ResponseCorpus(np.zeros((3, 2), dtype=np.uint8))
         assert (c.m, c.width, len(c)) == (3, 2, 3)
