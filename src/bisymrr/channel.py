@@ -7,9 +7,10 @@ here exploits that structure: any entry is ``a**(n-d) * (1-a)**d`` where d is
 the Hamming distance between the row and column indices read as bit strings,
 so the full 2^n x 2^n matrix never needs to exist to evaluate one entry, and
 the matrix inverse is the same construction at parameter ``a / (2a - 1)``.
-Applying the matrix to a vector is :func:`apply_kernel`, one 2x2 pass per bit
-axis; the dense :func:`materialize` serves only the ``matrix`` command and the
-test oracles, and refuses widths above :data:`DENSE_CAP`.
+Applying the matrix to a vector, or to each row of a block of vectors, is
+:func:`apply_kernel`, one 2x2 pass per bit axis; the dense :func:`materialize`
+serves only the ``matrix`` command and the test oracles, and refuses widths
+above :data:`DENSE_CAP`.
 
 Index convention: bit i of a record carries index weight 2**i (the record
 (1, 0, 1) is cell 5).  Entries depend only on Hamming distance, so this choice
@@ -75,20 +76,26 @@ def materialize(a: float, n: int) -> np.ndarray:
 def apply_kernel(v: np.ndarray, same: float, other: float) -> np.ndarray:
     """Apply the k-fold Kronecker power of [[same, other], [other, same]] to v.
 
-    k is read from ``v.size``, which must be a power of two.  The kernel is
-    applied one bit axis at a time, O(k 2^k) work with no 2^k x 2^k matrix:
-    (a, 1-a) is the forward channel, (ai, 1-ai) with ai the inverse parameter
-    its exact inverse, and any other pair of reals is accepted.
+    The kernel acts along the last axis, whose length 2^k must be a power of
+    two; a 1-D ``v`` is one vector and a ``(rows, 2^k)`` block is ``rows``
+    vectors, each given exactly the bits the 1-D call would give it, since the
+    pass is elementwise arithmetic with no reduction.  It runs one bit axis at
+    a time, O(k 2^k) work per vector with no 2^k x 2^k matrix: (a, 1-a) is the
+    forward channel, (ai, 1-ai) with ai the inverse parameter its exact
+    inverse, and any other pair of reals is accepted.  Always returns a fresh
+    array of ``v``'s shape (a scalar counts as a length-1 vector).
     """
-    t = np.array(v, dtype=np.float64).reshape(-1)
-    if t.size == 0 or t.size & (t.size - 1):
-        raise ValueError(f"vector length must be a power of two, got {t.size}")
-    for axis in range(t.size.bit_length() - 1):
-        # the middle index of this view is bit `axis` (weight 2**axis)
-        pairs = t.reshape(-1, 2, 1 << axis)
-        lo, hi = pairs[:, 0], pairs[:, 1]
-        t = np.stack((same * lo + other * hi, other * lo + same * hi), axis=1)
-    return t.reshape(-1)
+    t = np.array(v, dtype=np.float64, ndmin=1)
+    shape, size = t.shape, t.shape[-1]
+    if size == 0 or size & (size - 1):
+        raise ValueError(f"vector length must be a power of two, got {size}")
+    rows = t.size // size
+    for axis in range(size.bit_length() - 1):
+        # the third index of this view is bit `axis` (weight 2**axis)
+        pairs = t.reshape(rows, size >> (axis + 1), 2, 1 << axis)
+        lo, hi = pairs[:, :, 0], pairs[:, :, 1]
+        t = np.stack((same * lo + other * hi, other * lo + same * hi), axis=2)
+    return t.reshape(shape)
 
 
 def entry_at(a: float, n: int, r: int, x: int) -> float:

@@ -6,7 +6,10 @@ significant digits, and every randomized path takes an explicit seed.
 
 Exit codes: 0 success, 2 usage or domain error (a result overflowing a float
 included), 3 singular channel (a = 1/2), 4 parse error in an input file, 5
-dense-width cap exceeded; each domain error carries its own ``exit_code``.
+bit-width or block-size cap exceeded (``matrix`` above ``DENSE_CAP``,
+``figures 1a`` above ``FIGURE_1A_CAP`` or with more than ``FIGURE_1A_CELLS``
+cells in its 3 x trials x 2^n block); each domain error carries its own
+``exit_code``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .corpus_io import (
     read_vector,
     write_corpus,
     write_matrix,
-    _format_value,
+    write_table,
     _writing,
 )
 from .errors import BisymrrError, CorpusFormatError, check_probability, check_width
@@ -36,6 +39,8 @@ from .estimator import (
 )
 from .figures import (
     ExperimentConfig,
+    FIGURE_1A_CAP,
+    FIGURE_1A_CELLS,
     FIGURE_DEFAULTS,
     FIGURES,
     _cell_labels,
@@ -84,9 +89,7 @@ def _mechanism_text(spec) -> str:
 def _write_keyvals(args, rows) -> int:
     """The ``key,value`` CSV the loss and privacy reports print."""
     with _writing(args.out or sys.stdout) as out:
-        out.write("key,value\n")
-        for key, value in rows:
-            out.write(f"{key},{_format_value(value)}\n")
+        write_table(out, rows, ["key", "value"])
     return 0
 
 
@@ -144,9 +147,9 @@ def cmd_estimate(args) -> int:
             f"# width={corpus.width} m={corpus.m} a={format_float(a)} "
             f"bits={bits_text} projected={int(args.project)}\n"
         )
-        out.write("pattern,estimate\n")
-        for label, value in zip(_cell_labels(len(positions)), result):
-            out.write(f"{label},{format_float(float(value))}\n")
+        write_table(
+            out, zip(_cell_labels(len(positions)), result.tolist()), ["pattern", "estimate"]
+        )
     return 0
 
 
@@ -237,9 +240,7 @@ def cmd_figures(args) -> int:
             f"mechanism={_mechanism_text(cfg.mechanism)} pi={pi_text} "
             f"seed={cfg.seed.seed} stream={cfg.seed.stream} k={cfg.k}\n"
         )
-        out.write(",".join(columns) + "\n")
-        for row in rows:
-            out.write(",".join(_format_value(v) for v in row) + "\n")
+        write_table(out, rows, columns)
     return 0
 
 
@@ -254,7 +255,9 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=(
             f"estimate always applies the channel inverse as a per-axis "
             f"kernel pass and has no width cap; matrix builds the dense "
-            f"matrix and refuses widths above {DENSE_CAP} (exit 5)."
+            f"matrix and refuses widths above {DENSE_CAP} (exit 5); figures "
+            f"1a refuses --n above {FIGURE_1A_CAP} and 3 x trials x 2^n "
+            f"above {FIGURE_1A_CELLS} cells (exit 5)."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

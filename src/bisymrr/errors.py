@@ -1,9 +1,9 @@
 """Domain errors, each with its CLI exit code, and one checker per argument domain.
 
 Exit codes: 2 usage or domain error, 3 singular channel, 4 unparsable input
-file, 5 dense-width cap exceeded.  The ``check_*`` functions are the package's
-range checks on scalar arguments and return the argument; every comparison in
-them fails on NaN, and NaN is always a plain ValueError.
+file, 5 bit-width or block-size cap exceeded.  The ``check_*`` functions are
+the package's range checks on scalar arguments and return the argument; every
+comparison in them fails on NaN, and NaN is always a plain ValueError.
 """
 
 import math
@@ -23,8 +23,10 @@ class SingularChannelError(BisymrrError):
 
 
 class WidthCapError(BisymrrError):
-    """A dense matrix was requested above its fixed bit-width cap
-    (:data:`~bisymrr.channel.DENSE_CAP` for ``materialize``)."""
+    """A 2^n-entry array was requested above its fixed bit-width cap
+    (:data:`~bisymrr.channel.DENSE_CAP` for ``materialize``,
+    :data:`~bisymrr.figures.FIGURE_1A_CAP` for figure 1a), or figure 1a's
+    block of trials above :data:`~bisymrr.figures.FIGURE_1A_CELLS` cells."""
 
     exit_code = 5
 

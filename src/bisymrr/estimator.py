@@ -38,6 +38,23 @@ from .errors import (
 from .randomizer import ResponseCorpus
 
 
+def _check_counts(raw, ndims: tuple[int, ...]) -> np.ndarray:
+    """Pattern counts as int64, with ``ndims`` the allowed numbers of axes;
+    along the last axis every row must be a power-of-two number of
+    non-negative integer counts."""
+    raw = np.asarray(raw)
+    if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == raw.round())):
+        raise ValueError("counts must be integers")
+    arr = raw.astype(np.int64, copy=False)
+    if arr.ndim not in ndims or arr.shape[-1] == 0 or arr.shape[-1] & (arr.shape[-1] - 1):
+        raise ValueError(
+            f"counts length must be a power of two, got shape {arr.shape}"
+        )
+    if (arr < 0).any():
+        raise ValueError("counts must be non-negative")
+    return arr
+
+
 @dataclass(frozen=True)
 class Histogram:
     """Pattern counts over k queried bits: counts[i] is the number of records
@@ -46,17 +63,7 @@ class Histogram:
     counts: np.ndarray
 
     def __post_init__(self):
-        raw = np.asarray(self.counts)
-        if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == raw.round())):
-            raise ValueError("counts must be integers")
-        arr = raw.astype(np.int64, copy=False)
-        if arr.ndim != 1 or arr.size == 0 or arr.size & (arr.size - 1):
-            raise ValueError(
-                f"counts length must be a power of two, got shape {arr.shape}"
-            )
-        if (arr < 0).any():
-            raise ValueError("counts must be non-negative")
-        object.__setattr__(self, "counts", arr)
+        object.__setattr__(self, "counts", _check_counts(self.counts, (1,)))
 
     @property
     def k(self) -> int:
@@ -91,7 +98,8 @@ def marginal_histogram(corpus: ResponseCorpus, positions: Sequence[int]) -> Hist
 
 
 def _inverse_kernel_pass(v: np.ndarray, a: float, k: int) -> np.ndarray:
-    """Apply the width-k inverse flip matrix to v (k = log2 of v.size).
+    """Apply the width-k inverse flip matrix to v along its last axis
+    (k = log2 of ``v.shape[-1]``).
 
     Kept as a named step of :func:`estimate` so ``bench/launcher.py`` can time
     the kernel pass on its own; it reads k from the third argument.
@@ -106,13 +114,18 @@ def estimate(h: Histogram | np.ndarray, a: float) -> np.ndarray:
     Returns m^-1 times the inverse flip matrix applied to the counts.  Cells
     may come out negative; that is the price of exact unbiasedness, and
     :func:`project_to_simplex` exists for callers who need a distribution.
+
+    ``h`` may also be a ``(rows, 2^k)`` block of count vectors, such as one
+    histogram per Monte-Carlo trial: every row must pass the
+    :class:`Histogram` checks, is divided by its own m and gets the same
+    estimate, bit for bit, as it would alone, and an all-zero row raises.
     """
     check_probability(a, "a")
-    counts = h.counts if isinstance(h, Histogram) else Histogram(h).counts
-    m = int(counts.sum())
-    if m == 0:
+    counts = h.counts if isinstance(h, Histogram) else _check_counts(h, (1, 2))
+    m = counts.sum(axis=-1, keepdims=True)
+    if (m == 0).any():
         raise ValueError("empty corpus: cannot estimate from zero records")
-    k = int(counts.size).bit_length() - 1
+    k = counts.shape[-1].bit_length() - 1
     return _inverse_kernel_pass(counts / m, a, k)
 
 

@@ -16,7 +16,13 @@ Five canned datasets demonstrate the library end to end:
 
 Every trial derives its own randomness stream from (seed, stream-id), so
 results are independent of execution order and safe to parallelize; rows are
-always emitted in trial order.
+always emitted in trial order.  ``1a`` batches its work the way the channel
+allows: the kernel pass costs the same per vector on a ``trials x 2^n`` block
+as on one histogram, so all trials go through
+:func:`~bisymrr.estimator.estimate` as one block per estimator, its width is
+capped at :data:`FIGURE_1A_CAP` and its block at :data:`FIGURE_1A_CELLS`.
+Figure functions return a column list and rows of plain Python values, which
+the CLI writes with :func:`~bisymrr.corpus_io.write_table`.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import apply_kernel
-from .errors import check_count
+from .errors import WidthCapError, check_count
 from .estimator import efficiency_loss, estimate, trace_constant
 from .privacy import a_for_epsilon
 from .randomizer import (
@@ -40,6 +46,14 @@ from .randomizer import (
 from .surveys import unrelated_c, warner_c
 
 FLAT_DIRICHLET = "dirichlet-flat"
+
+# Widest record figure 1a simulates: each of its 3 x trials rows then holds at
+# most 2^16 cells (512 kB as float64, over 1 MB once written as text).
+FIGURE_1A_CAP = 16
+
+# Most cells figure 1a's 3 x trials x 2^n block of counts may hold: 128 MB as
+# int64, some 0.5 GB once its rows exist as Python floats.
+FIGURE_1A_CELLS = 1 << 24
 
 
 def _as_generator(seed) -> np.random.Generator:
@@ -134,8 +148,25 @@ def _cell_labels(n: int) -> list[str]:
 
 
 def figure_1a(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
-    """Direct vs randomized vs loss-scaled randomized estimates, per trial."""
+    """Direct vs randomized vs loss-scaled randomized estimates, per trial.
+
+    Each trial draws its three samples from its own stream, in trial order;
+    the randomized counts of all trials are then estimated as one block per
+    estimator, which gives every row the bits a per-trial estimate would.
+    Widths above :data:`FIGURE_1A_CAP`, and blocks of more than
+    :data:`FIGURE_1A_CELLS` cells, are refused before any 2^n-cell array
+    exists.
+    """
+    if cfg.n > FIGURE_1A_CAP:
+        raise WidthCapError(
+            f"figure 1a at width {cfg.n} exceeds the cap of {FIGURE_1A_CAP}"
+        )
     cells = 1 << cfg.n
+    if 3 * cfg.trials * cells > FIGURE_1A_CELLS:
+        raise WidthCapError(
+            f"figure 1a with {cfg.trials} trials at width {cfg.n} needs "
+            f"3 x {cfg.trials} x 2^{cfg.n} cells, above the cap of {FIGURE_1A_CELLS}"
+        )
     if isinstance(cfg.pi, str):
         pi = sample_flat_dirichlet(cells, cfg.seed)
     else:
@@ -147,15 +178,24 @@ def figure_1a(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     mixed = apply_kernel(pi, a, 1.0 - a)
 
     columns = ["trial", "estimator", "m"] + [f"cell_{p}" for p in _cell_labels(cfg.n)]
-    rows: list[list] = []
+    counts = np.empty((3, cfg.trials, cells), dtype=np.int64)
     for trial in range(cfg.trials):
         gen = _trial_seed(cfg, trial).generator()
-        direct = gen.multinomial(cfg.m, pi) / cfg.m
-        plain = estimate(gen.multinomial(cfg.m, mixed), a)
-        scaled = estimate(gen.multinomial(m_scaled, mixed), a)
-        rows.append([trial, "direct", cfg.m, *direct.tolist()])
-        rows.append([trial, "randomized", cfg.m, *plain.tolist()])
-        rows.append([trial, "randomized_scaled", m_scaled, *scaled.tolist()])
+        counts[0, trial] = gen.multinomial(cfg.m, pi)
+        counts[1, trial] = gen.multinomial(cfg.m, mixed)
+        counts[2, trial] = gen.multinomial(m_scaled, mixed)
+    # Every estimate runs before any row exists; then each block becomes its
+    # rows and is dropped, and rows are labelled in place, so no array or
+    # second copy of the cells sits beside the finished table.
+    blocks = [counts[0] / cfg.m, estimate(counts[1], a), estimate(counts[2], a)]
+    del counts
+    tables = [blocks.pop(0).tolist() for _ in range(3)]
+    labels = (("direct", cfg.m), ("randomized", cfg.m), ("randomized_scaled", m_scaled))
+    rows: list[list] = []
+    for trial, trial_rows in enumerate(zip(*tables)):
+        for row, (estimator, m) in zip(trial_rows, labels):
+            row[:0] = (trial, estimator, m)
+            rows.append(row)
     return columns, rows
 
 

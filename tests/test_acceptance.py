@@ -211,13 +211,18 @@ def test_criterion_08_design_comparison_crossing_and_coincidence():
 
 
 def test_criterion_09_materialize_cost_per_added_bit():
-    def best_time(n: int) -> float:
-        probe = timeit.timeit(lambda: materialize(0.75, n), number=1)
-        number = max(1, int(0.05 / max(probe, 1e-9)))
-        runs = timeit.repeat(lambda: materialize(0.75, n), number=number, repeat=5)
-        return min(runs) / number
+    widths = range(6, 12)
 
-    times = {n: best_time(n) for n in range(6, 12)}
+    def per_call(n: int, number: int) -> float:
+        return timeit.timeit(lambda: materialize(0.75, n), number=number) / number
+
+    numbers = {n: max(1, int(0.05 / max(per_call(n, 1), 1e-9))) for n in widths}
+    times = dict.fromkeys(widths, math.inf)
+    # Each repeat times every width once, so a host slowdown lasting seconds
+    # spreads over all widths instead of landing on whichever was being timed.
+    for _ in range(5):
+        for n in widths:
+            times[n] = min(times[n], per_call(n, numbers[n]))
     ratios = [times[n + 1] / times[n] for n in range(6, 11)]
     ok = all(3.0 <= r <= 6.0 for r in ratios)
     _report(

@@ -225,16 +225,31 @@ class TestApplyKernel:
         back = apply_kernel(apply_kernel(v, a, 1.0 - a), ai, 1.0 - ai)
         assert np.abs(back - v).max() <= 1e-9 * max(np.abs(v).max(), 1.0)
 
+    @pytest.mark.parametrize("rows", [0, 1, 5])
+    @pytest.mark.parametrize("k", range(6))
+    @pytest.mark.parametrize("same, other", [(0.75, 0.25), (2.5, -1.5)])
+    def test_block_equals_per_row_calls(self, rows, k, same, other):
+        block = np.random.default_rng(k).standard_normal((rows, 1 << k))
+        want = np.array([apply_kernel(v, same, other) for v in block]).reshape(block.shape)
+        got = apply_kernel(block, same, other)
+        assert got.shape == block.shape
+        assert np.array_equal(got, want)
+
+    def test_block_input_untouched(self):
+        block = np.ones((2, 4))
+        apply_kernel(block, 2.0, -1.0)[0, 0] = 9.0
+        assert np.array_equal(block, np.ones((2, 4)))
+
     def test_leaves_input_untouched(self):
         v = np.array([0.25])
         out = apply_kernel(v, 2.0, -1.0)
         out[0] = 9.0
         assert v[0] == 0.25
 
-    @pytest.mark.parametrize("size", [0, 3, 6])
-    def test_rejects_non_power_of_two_length(self, size):
+    @pytest.mark.parametrize("shape", [0, 3, 6, (2, 3), (4, 0)])
+    def test_rejects_non_power_of_two_length(self, shape):
         with pytest.raises(ValueError, match="power of two"):
-            apply_kernel(np.ones(size), 0.75, 0.25)
+            apply_kernel(np.ones(shape), 0.75, 0.25)
 
 
 @pytest.fixture

@@ -442,6 +442,47 @@ class TestClosedHoles:
         assert code == 0
         assert "trials=2 " in out and "seed=9 " in out
 
+    @pytest.mark.parametrize(
+        "header, body, message",
+        [
+            ("# width=16 m=100000000000", ",".join("01" * 8),
+             "line 3: header declared m=100000000000 but found 1 data rows"),
+            ("# width=100000000000 m=1", "0,1",
+             "line 2: expected 100000000000 comma-separated bits, got 2"),
+        ],
+    )
+    def test_header_sizes_no_array_before_the_rows(self, tmp_path, capsys, header, body, message):
+        path = tmp_path / "huge.csv"
+        path.write_text(f"{header}\n{body}\n")
+        code, out, err = run(capsys, "estimate", str(path), "--a", "0.75")
+        assert (code, out, err) == (4, "", f"error: {message}\n")
+
+    def test_figure_1a_width_cap_exits_5(self, monkeypatch, capsys):
+        from bisymrr import figures
+
+        def no_allocation(*args):
+            raise AssertionError("2^n cells requested before the width check")
+
+        monkeypatch.setattr(figures, "sample_flat_dirichlet", no_allocation)
+        monkeypatch.setattr(figures, "apply_kernel", no_allocation)
+        code, out, err = run(capsys, "figures", "1a", "--n", "40", "--pi", "dirichlet-flat")
+        assert (code, out) == (5, "")
+        assert err == "error: figure 1a at width 40 exceeds the cap of 16\n"
+
+    def test_figure_1a_block_cap_exits_5(self, monkeypatch, capsys):
+        from bisymrr import figures
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("trial block allocated before the block check")
+
+        monkeypatch.setattr(figures.np, "empty", no_allocation)
+        code, out, err = run(capsys, "figures", "1a", "--trials", "10000000000")
+        assert (code, out) == (5, "")
+        assert err == (
+            "error: figure 1a with 10000000000 trials at width 2 needs "
+            "3 x 10000000000 x 2^2 cells, above the cap of 16777216\n"
+        )
+
     def test_figures_a_and_mechanism_conflict(self, capsys):
         code, _, err = run(
             capsys, "figures", "2a", "--a", "0.75", "--mechanism", "warner:0.7"

@@ -110,6 +110,39 @@ class TestEstimate:
         got = estimate(Histogram(np.array(counts)), a)
         assert abs(got.sum() - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("a", [0.0, 0.3, 0.75, 0.9, 1.0])
+    @pytest.mark.parametrize("k", [0, 1, 4, 8])
+    @pytest.mark.parametrize("rows", [1, 3, 50])
+    def test_block_equals_per_row_calls(self, a, k, rows):
+        counts = np.random.default_rng(rows * 16 + k).integers(0, 50, (rows, 1 << k))
+        counts[:, 0] += 1
+        want = np.array([estimate(Histogram(row), a) for row in counts])
+        assert np.array_equal(estimate(counts, a), want)
+        assert np.array_equal(estimate(counts.astype(np.float64), a), want)
+
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            ([0, 0, 0, 0], "empty"),
+            ([1, -1, 0, 0], "non-negative"),
+            ([1.5, 1, 0, 0], "integers"),
+            ([float("nan"), 1, 0, 0], "integers"),
+        ],
+    )
+    def test_block_applies_histogram_checks_per_row(self, row, error):
+        counts = np.array([[3, 1, 0, 2], row, [1, 1, 1, 1]])
+        with pytest.raises(ValueError, match=error):
+            estimate(counts, 0.75)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 0), (2, 2, 2), ()])
+    def test_block_shape_checked(self, shape):
+        with pytest.raises(ValueError, match="power of two"):
+            estimate(np.ones(shape, dtype=np.int64), 0.75)
+
+    def test_histogram_stays_one_dimensional(self):
+        with pytest.raises(ValueError, match="power of two"):
+            Histogram(np.ones((2, 2), dtype=np.int64))
+
     @pytest.mark.parametrize("a", [0.3, 0.75, 0.9])
     @pytest.mark.parametrize("k", [4, 7, 10, 12])
     def test_lazy_path_matches_dense(self, a, k):

@@ -5,9 +5,12 @@ import pathlib
 import numpy as np
 import pytest
 
-from bisymrr import RandomSeed, UnrelatedUniform, Warner
+from bisymrr import RandomSeed, UnrelatedUniform, Warner, WidthCapError, figures
+from bisymrr.cli import main
 from bisymrr.estimator import efficiency_loss, loss, trace_constant
 from bisymrr.figures import (
+    FIGURE_1A_CAP,
+    FIGURE_1A_CELLS,
     FIGURE_DEFAULTS,
     FIGURES,
     ExperimentConfig,
@@ -20,6 +23,7 @@ from bisymrr.figures import (
     figure_2b,
     sample_flat_dirichlet,
 )
+from figure_oracles import figure_1a_per_trial, format_rows_per_cell
 
 
 def default_cfg(which: str, **overrides) -> ExperimentConfig:
@@ -148,6 +152,57 @@ class TestFigure1a:
         cols, rows = figure_1a(default_cfg("1a", pi="dirichlet-flat", trials=1, n=1))
         assert cols[3:] == ["cell_0", "cell_1"]
         assert len(rows) == 3
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"trials": 5},
+            {"n": 8, "pi": "dirichlet-flat", "trials": 7},
+            {"n": 1, "m": 1, "trials": 3, "pi": [0.3, 0.7]},
+        ],
+    )
+    def test_batched_estimates_equal_per_trial_loop(self, overrides):
+        cfg = default_cfg("1a", **overrides)
+        assert figure_1a(cfg) == figure_1a_per_trial(cfg)
+
+    def test_estimates_all_trials_in_two_calls(self, monkeypatch):
+        calls = []
+        real = figures.estimate
+        monkeypatch.setattr(figures, "estimate", lambda h, a: calls.append(h.shape) or real(h, a))
+        figure_1a(default_cfg("1a", trials=6))
+        assert calls == [(6, 4), (6, 4)]
+
+    def test_cli_output_equals_per_trial_loop(self, capsys):
+        argv = ["figures", "1a", "--n", "8", "--pi", "dirichlet-flat", "--trials", "7"]
+        assert main(argv) == 0
+        header, body = capsys.readouterr().out.split("\n", 1)
+        columns, rows = figure_1a_per_trial(default_cfg("1a", n=8, pi="dirichlet-flat", trials=7))
+        assert header.startswith("# figure=1a n=8 m=1000 trials=7 ")
+        assert body == format_rows_per_cell(rows, columns)
+
+    def test_widest_allowed_width_runs(self):
+        cfg = default_cfg("1a", n=FIGURE_1A_CAP, pi="dirichlet-flat", m=10, trials=1)
+        cols, rows = figure_1a(cfg)
+        assert len(cols) == 3 + (1 << FIGURE_1A_CAP) and len(rows) == 3
+
+    def test_width_above_cap_refused_before_any_allocation(self, monkeypatch):
+        def no_allocation(*args):
+            raise AssertionError("2^n cells requested before the width check")
+
+        monkeypatch.setattr(figures, "sample_flat_dirichlet", no_allocation)
+        monkeypatch.setattr(figures, "apply_kernel", no_allocation)
+        with pytest.raises(WidthCapError, match="figure 1a at width 17 exceeds the cap of 16"):
+            figure_1a(default_cfg("1a", n=FIGURE_1A_CAP + 1, pi="dirichlet-flat"))
+
+    def test_block_above_cell_cap_refused_before_any_allocation(self, monkeypatch):
+        def no_allocation(*args):
+            raise AssertionError("2^n cells requested before the block check")
+
+        monkeypatch.setattr(figures, "sample_flat_dirichlet", no_allocation)
+        monkeypatch.setattr(figures, "apply_kernel", no_allocation)
+        trials = FIGURE_1A_CELLS // (3 << 8) + 1
+        with pytest.raises(WidthCapError, match=f"above the cap of {FIGURE_1A_CELLS}"):
+            figure_1a(default_cfg("1a", n=8, pi="dirichlet-flat", trials=trials))
 
 
 class TestFigure1b:

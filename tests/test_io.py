@@ -1,4 +1,5 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from bisymrr import (
     write_corpus,
     write_matrix,
 )
-from bisymrr.corpus_io import _format_value
+from bisymrr.corpus_io import _format_value, write_table
 from corpus_oracles import read_corpus_lines, write_corpus_rows
+from figure_oracles import format_rows_per_cell
 
 CORPUS = ResponseCorpus(np.array([[0, 1, 1], [1, 0, 0], [1, 1, 1], [0, 0, 0]], dtype=np.uint8))
 
@@ -194,6 +196,10 @@ class TestVectorizedCorpusIO:
         assert got == ResponseCorpus(np.array([[0, 1, 1], [1, 0, 0]]))
         assert outcome(read_corpus, text) == outcome(read_corpus_lines, text)
 
+    def test_line_parser_keeps_the_width_of_an_empty_corpus(self):
+        got, _ = read_corpus(io.StringIO("# width=5 m=0\n\n"))
+        assert got.bits.shape == (0, 5)
+
     def test_crlf_file_on_disk(self, tmp_path):
         path = tmp_path / "crlf.csv"
         path.write_bytes(b"# width=2 m=2\r\n0,1\r\n1,1\r\n")
@@ -241,6 +247,94 @@ class TestMatrix:
         write_matrix(buf, mat)
         buf.seek(0)
         assert (read_matrix(buf) == mat).all()
+
+    def test_bytes_match_per_cell_writer(self):
+        mat = materialize(0.7354421, 5)
+        buf = io.StringIO()
+        write_matrix(buf, mat)
+        assert buf.getvalue() == format_rows_per_cell(mat.tolist())
+
+
+# One strategy per cell type the package writes; the ints reach past 1e17,
+# where %.17g would stop being exact, and the floats include nan, ±inf, -0.0.
+CELLS = {
+    "bool": st.booleans(),
+    "int": st.integers(-(10**20), 10**20) | st.sampled_from([10**17, -(10**17), 2**63]),
+    "int64": st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    "float": st.floats() | st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf")]),
+    "float64": st.floats().map(np.float64),
+    "str": st.text(max_size=4),
+}
+ANY_CELL = st.one_of(*CELLS.values())
+
+
+class Percent(float):
+    """A float subclass that formats itself: %.17g would bypass this."""
+
+    def __format__(self, spec):
+        return f"{float(self) * 100:g}%"
+
+
+@st.composite
+def tables(draw):
+    """Rows whose columns keep one type (the template path), or, now and
+    then, any cell of any type or a row of another length."""
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), max_size=5))
+    row = st.tuples(*(CELLS[kind] for kind in kinds)).map(list)
+    if draw(st.booleans()):
+        row |= st.lists(ANY_CELL, max_size=6)
+    return draw(st.lists(row, max_size=40))
+
+
+class TestWriteTable:
+    @given(rows=tables(), block_cells=st.integers(1, 12), columns=st.none() | st.just(["x", "y"]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_per_cell_format_value(self, rows, block_cells, columns):
+        buf = io.StringIO()
+        with mock.patch.object(corpus_io, "TABLE_BLOCK_CELLS", block_cells):
+            write_table(buf, iter(rows), columns)
+        assert buf.getvalue() == format_rows_per_cell(rows, columns)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2049])
+    def test_row_counts_around_the_real_block_size(self, extra):
+        per_block = corpus_io.TABLE_BLOCK_CELLS // 2
+        values = np.random.default_rng(extra + 2).standard_normal(per_block + extra)
+        rows = [[f"r{i}", v] for i, v in enumerate(values.tolist())]
+        rows[-1][1] = True  # the last block no longer matches the first row
+        buf = io.StringIO()
+        write_table(buf, rows, ["pattern", "estimate"])
+        assert buf.getvalue() == format_rows_per_cell(rows, ["pattern", "estimate"])
+
+    @pytest.mark.parametrize(
+        "rows, text",
+        [
+            ([[True], [1.5]], "1\n1.5\n"),
+            ([[1.5], [True]], "1.5\n1\n"),
+            ([[False, 2], [0.25, 3]], "0,2\n0.25,3\n"),
+            ([[10**17], [1.0]], "100000000000000000\n1\n"),
+            ([[1.0], [10**17 + 1]], "1\n100000000000000001\n"),
+            ([[np.bool_(True)], [np.float32(0.5)]], "True\n0.5\n"),
+            ([["a", "b"], ["c"], ["d", "e", "f"]], "a,b\nc\nd,e,f\n"),
+            ([[Percent(0.25), 1.0]], "25%,1\n"),
+        ],
+    )
+    def test_rows_the_template_cannot_take_go_cell_by_cell(self, rows, text):
+        buf = io.StringIO()
+        write_table(buf, rows)
+        assert buf.getvalue() == text
+
+    def test_empty_table_writes_only_the_column_names(self):
+        buf = io.StringIO()
+        write_table(buf, [], ["a", "b"])
+        assert buf.getvalue() == "a,b\n"
+
+    def test_floats_follow_format_float_wherever_it_goes(self, monkeypatch):
+        monkeypatch.setattr(corpus_io, "format_float", lambda x: f"{x:.3g}")
+        monkeypatch.setattr(corpus_io, "_FLOAT_CONVERSION", corpus_io._float_conversion())
+        assert corpus_io._FLOAT_CONVERSION is None
+        buf = io.StringIO()
+        write_table(buf, [[1, np.pi, True]] * 3)
+        assert buf.getvalue() == "1,3.14,1\n" * 3
 
 
 class TestReadVector:
