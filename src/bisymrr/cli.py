@@ -7,9 +7,9 @@ significant digits, and every randomized path takes an explicit seed.
 Exit codes: 0 success, 2 usage or domain error (a result overflowing a float
 included), 3 singular channel (a = 1/2), 4 parse error in an input file, 5
 bit-width or block-size cap exceeded (``matrix`` above ``DENSE_CAP``,
-``figures 1a`` above ``FIGURE_1A_CAP`` or with more than ``FIGURE_1A_CELLS``
-cells in its 3 x trials x 2^n block); each domain error carries its own
-``exit_code``.
+``estimate`` on a marginal of more than ``CELL_CAP`` cells, ``figures 1a``
+above ``FIGURE_1A_CAP`` or with more than ``CELL_CAP`` cells in its
+3 x trials x 2^n block); each domain error carries its own ``exit_code``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,14 @@ from .corpus_io import (
     write_table,
     _writing,
 )
-from .errors import BisymrrError, CorpusFormatError, check_probability, check_width
+from .errors import (
+    CELL_CAP,
+    BisymrrError,
+    CorpusFormatError,
+    check_distribution,
+    check_probability,
+    check_width,
+)
 from .estimator import (
     estimate,
     loss,
@@ -40,8 +47,8 @@ from .estimator import (
 from .figures import (
     ExperimentConfig,
     FIGURE_1A_CAP,
-    FIGURE_1A_CELLS,
     FIGURE_DEFAULTS,
+    FLAT_DIRICHLET,
     FIGURES,
     _cell_labels,
     build_figure,
@@ -133,10 +140,13 @@ def cmd_estimate(args) -> int:
             "no channel parameter: give --a or --mechanism, or estimate from "
             "a corpus whose header records a="
         )
-    if args.bits:
-        positions = [int(b) for b in args.bits.split(",")]
+    if args.bits is None:
+        positions = range(corpus.width)
     else:
-        positions = list(range(corpus.width))
+        try:
+            positions = [int(b) for b in args.bits.split(",")]
+        except ValueError:
+            raise ValueError(f"--bits must be comma-separated bit positions, got {args.bits!r}") from None
     hist = marginal_histogram(corpus, positions)
     result = estimate(hist, a)
     if args.project:
@@ -159,7 +169,7 @@ def cmd_loss(args) -> int:
     if (args.s is None) == (args.pi is None):
         raise ValueError("give exactly one of --s or --pi")
     if args.pi is not None:
-        pi = read_vector(args.pi)
+        pi = check_distribution(read_vector(args.pi))
         if pi.size != 1 << n:
             raise ValueError(f"pi file has {pi.size} cells, width {n} needs {1 << n}")
         s = float(pi @ pi)
@@ -202,8 +212,18 @@ def cmd_privacy(args) -> int:
     return _write_keyvals(args, rows)
 
 
+def _setting_text(cfg: ExperimentConfig, key: str) -> str:
+    """One figure setting as its header records it."""
+    value = getattr(cfg.seed if key in ("seed", "stream") else cfg, key)
+    if key == "mechanism":
+        return _mechanism_text(value)
+    if key == "pi" and not isinstance(value, str):
+        return ",".join(map(format_float, value))
+    return str(value)
+
+
 def cmd_figures(args) -> int:
-    overrides = {}
+    config = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             try:
@@ -214,32 +234,25 @@ def cmd_figures(args) -> int:
             raise CorpusFormatError(
                 f"bad config file: expected a JSON object, got {type(config).__name__}"
             )
-        overrides.update(config)
-    for key in ("n", "m", "trials", "k", "seed", "stream"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    spec = _mechanism_from_args(args, required=False)
-    if spec is not None:
-        overrides["mechanism"] = spec
+    flags = {key: getattr(args, key) for key in ("n", "m", "trials", "pi", "seed", "stream", "k")}
+    flags["mechanism"] = _mechanism_from_args(args, required=False)
+    # flags override the config file; a null value, like an absent flag, sets nothing
+    given = (item for source in (config, flags) for item in source.items())
+    settings = {key: value for key, value in given if value is not None}
+    reads = FIGURE_DEFAULTS[args.which]
+    for key in settings:
+        if key not in reads:
+            raise ValueError(f"figure {args.which} reads no setting {key}")
     if args.pi is not None:
         text = args.pi.strip()
-        overrides["pi"] = (
-            text
-            if text == "dirichlet-flat"
-            else [float(t) for t in text.replace(",", " ").split()]
+        settings["pi"] = (
+            text if text == FLAT_DIRICHLET else [float(t) for t in text.replace(",", " ").split()]
         )
-
-    base = ExperimentConfig.from_mapping(FIGURE_DEFAULTS[args.which])
-    cfg = ExperimentConfig.from_mapping(overrides, base=base)
+    cfg = ExperimentConfig.from_mapping({**reads, **settings})
     columns, rows = build_figure(args.which, cfg)
-    pi_text = cfg.pi if isinstance(cfg.pi, str) else ",".join(map(format_float, cfg.pi))
+    header = [f"figure={args.which}"] + [f"{key}={_setting_text(cfg, key)}" for key in reads]
     with _writing(args.out if args.out else sys.stdout) as out:
-        out.write(
-            f"# figure={args.which} n={cfg.n} m={cfg.m} trials={cfg.trials} "
-            f"mechanism={_mechanism_text(cfg.mechanism)} pi={pi_text} "
-            f"seed={cfg.seed.seed} stream={cfg.seed.stream} k={cfg.k}\n"
-        )
+        out.write(f"# {' '.join(header)}\n")
         write_table(out, rows, columns)
     return 0
 
@@ -254,10 +267,12 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             f"estimate always applies the channel inverse as a per-axis "
-            f"kernel pass and has no width cap; matrix builds the dense "
-            f"matrix and refuses widths above {DENSE_CAP} (exit 5); figures "
-            f"1a refuses --n above {FIGURE_1A_CAP} and 3 x trials x 2^n "
-            f"above {FIGURE_1A_CELLS} cells (exit 5)."
+            f"kernel pass and refuses a marginal of more than {CELL_CAP} "
+            f"cells (exit 5); matrix builds the dense matrix and refuses "
+            f"widths above {DENSE_CAP} (exit 5); figures 1a refuses --n above "
+            f"{FIGURE_1A_CAP} and 3 x trials x 2^n above {CELL_CAP} cells "
+            f"(exit 5); figures refuses any setting its dataset does not "
+            f"read (exit 2)."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -314,9 +329,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_privacy)
 
-    p = sub.add_parser("figures", help="emit a canned experiment dataset as CSV")
+    p = sub.add_parser(
+        "figures",
+        help="emit a canned experiment dataset as CSV; settings it does not read are refused",
+        epilog="Each dataset reads only these settings, refuses any other flag or config key "
+        "(exit 2) and records them in its header: "
+        + "; ".join(f"{w} {', '.join(keys) or 'none'}" for w, keys in FIGURE_DEFAULTS.items()),
+    )
     p.add_argument("which", choices=sorted(FIGURES), help="dataset id")
-    p.add_argument("--config", help="JSON file of experiment settings")
+    p.add_argument("--config", help="JSON file of settings the dataset reads")
     p.add_argument("--n", type=int, help="bit width")
     p.add_argument("--m", type=int, help="responses per trial")
     p.add_argument("--trials", type=int, help="number of trials")

@@ -78,10 +78,11 @@ def write_corpus(f, corpus: ResponseCorpus, meta: Mapping[str, object] | None = 
             continue
         fields[key] = value
     header = " ".join(f"{k}={_format_value(v)}" for k, v in fields.items())
-    rows = (_row_template(corpus.width) + corpus.bits).astype("<u2", copy=False)
     with _writing(f) as out:
         out.write(f"# {header}\n")
-        out.write(rows.tobytes().decode("ascii"))
+        if corpus.m:  # no template for an empty corpus, whatever its width
+            rows = (_row_template(corpus.width) + corpus.bits).astype("<u2", copy=False)
+            out.write(rows.tobytes().decode("ascii"))
 
 
 def read_corpus(f) -> tuple[ResponseCorpus, dict[str, str]]:
@@ -145,6 +146,8 @@ def _decode_rows(body: str, width: int, m: int) -> np.ndarray | None:
     them all."""
     if len(body) != m * 2 * width or not body.isascii():
         return None
+    if m == 0:  # before the template, which a header's width alone sizes
+        return np.zeros((0, width), dtype=np.uint8)
     pairs = np.frombuffer(body.encode("ascii"), dtype="<u2").reshape(m, width)
     bits = pairs - _row_template(width)
     if (bits > 1).any():

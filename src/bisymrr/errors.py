@@ -8,6 +8,8 @@ comparison in them fails on NaN, and NaN is always a plain ValueError.
 
 import math
 
+import numpy as np
+
 
 class BisymrrError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -25,8 +27,8 @@ class SingularChannelError(BisymrrError):
 class WidthCapError(BisymrrError):
     """A 2^n-entry array was requested above its fixed bit-width cap
     (:data:`~bisymrr.channel.DENSE_CAP` for ``materialize``,
-    :data:`~bisymrr.figures.FIGURE_1A_CAP` for figure 1a), or figure 1a's
-    block of trials above :data:`~bisymrr.figures.FIGURE_1A_CELLS` cells."""
+    :data:`~bisymrr.figures.FIGURE_1A_CAP` for figure 1a), or a marginal or
+    figure 1a's block of trials above :data:`CELL_CAP` cells."""
 
     exit_code = 5
 
@@ -99,6 +101,25 @@ def check_width(n, minimum: int = 0) -> int:
     if n > MAX_WIDTH:
         raise OverflowError(f"2^n is not a finite float for bit width {n} (at most {MAX_WIDTH})")
     return n
+
+
+# Most cells one array of counts or estimates may hold: 128 MB as int64, some
+# 0.5 GB once its values exist as Python floats.  It bounds a marginal's 2^k
+# cells and figure 1a's 3 x trials x 2^n block of counts.
+CELL_CAP = 1 << 24
+
+
+def check_distribution(pi, name: str = "pi") -> np.ndarray:
+    """A probability vector, returned flat as float64: finite, non-negative
+    cells summing to 1 within 1e-9."""
+    arr = np.asarray(pi, dtype=np.float64).reshape(-1)
+    total = float(arr.sum())
+    if not (np.isfinite(arr).all() and (arr >= 0).all() and abs(total - 1.0) <= 1e-9):
+        raise ValueError(
+            f"{name} must be a probability distribution: finite, non-negative "
+            "cells summing to 1"
+        )
+    return arr
 
 
 def check_invertible(a: float, name: str = "a") -> float:

@@ -29,6 +29,8 @@ import numpy as np
 
 from .channel import apply_kernel, inverse_parameter
 from .errors import (
+    CELL_CAP,
+    WidthCapError,
     check_count,
     check_invertible,
     check_probability,
@@ -79,7 +81,15 @@ def marginal_histogram(corpus: ResponseCorpus, positions: Sequence[int]) -> Hist
 
     The t-th listed position contributes weight 2^t to the cell index, the
     same little-endian convention the channel matrices use for whole records.
+    A marginal of more than :data:`~bisymrr.errors.CELL_CAP` cells is refused
+    before ``positions`` is read, so a lazy ``range`` over a wide corpus costs
+    nothing.
     """
+    k = len(positions)
+    if k > CELL_CAP.bit_length() - 1:
+        raise WidthCapError(
+            f"a marginal on {k} bits has 2^{k} cells, above the cap of {CELL_CAP}"
+        )
     pos = [check_count(p, "bit position") for p in positions]
     if not pos:
         raise ValueError("at least one bit position is required")
@@ -89,7 +99,6 @@ def marginal_histogram(corpus: ResponseCorpus, positions: Sequence[int]) -> Hist
         raise ValueError(
             f"positions must lie in [0, {corpus.width}), got {pos}"
         )
-    k = len(pos)
     if corpus.m == 0:
         return Histogram(np.zeros(1 << k, dtype=np.int64))
     weights = (np.int64(1) << np.arange(k, dtype=np.int64))
@@ -196,15 +205,20 @@ def loss(s: float, a: float, n: int) -> LossReport:
     floor and flat-average stand-ins."""
     n = check_width(n, 1)
     c = trace_constant(a, n)
-    cells = 1 << n
     return LossReport(
         c=c,
         s=s,
         trace_cov=c - s,
         loss_L=efficiency_loss(s, c),
-        loss_floor=efficiency_loss(1.0 / cells, c),
-        loss_approx=efficiency_loss(2.0 / (cells + 1), c),
+        loss_floor=efficiency_loss(1.0 / (1 << n), c),
+        loss_approx=flat_average_loss(a, n),
     )
+
+
+def flat_average_loss(a: float, n: int) -> float:
+    """L at s = 2/(2^n + 1), the mean of s under a uniformly random π: the
+    π-free stand-in :func:`loss` reports as ``loss_approx``."""
+    return efficiency_loss(2.0 / ((1 << check_width(n, 1)) + 1), trace_constant(a, n))
 
 
 def greenwood_moments(n: int) -> tuple[float, float]:

@@ -20,21 +20,23 @@ always emitted in trial order.  ``1a`` batches its work the way the channel
 allows: the kernel pass costs the same per vector on a ``trials x 2^n`` block
 as on one histogram, so all trials go through
 :func:`~bisymrr.estimator.estimate` as one block per estimator, its width is
-capped at :data:`FIGURE_1A_CAP` and its block at :data:`FIGURE_1A_CELLS`.
-Figure functions return a column list and rows of plain Python values, which
-the CLI writes with :func:`~bisymrr.corpus_io.write_table`.
+capped at :data:`FIGURE_1A_CAP` and its block at
+:data:`~bisymrr.errors.CELL_CAP` cells.  Figure functions return a column
+list and rows of plain Python values, which the CLI writes with
+:func:`~bisymrr.corpus_io.write_table`.  :data:`FIGURE_DEFAULTS` names the
+settings each figure reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import apply_kernel
-from .errors import WidthCapError, check_count
-from .estimator import efficiency_loss, estimate, trace_constant
+from .errors import CELL_CAP, WidthCapError, check_count, check_distribution
+from .estimator import estimate, flat_average_loss, loss
 from .privacy import a_for_epsilon
 from .randomizer import (
     RandomizerSpec,
@@ -43,17 +45,13 @@ from .randomizer import (
     effective_a,
     parse_mechanism,
 )
-from .surveys import unrelated_c, warner_c
+from .surveys import compare, unrelated_c, warner_c
 
 FLAT_DIRICHLET = "dirichlet-flat"
 
 # Widest record figure 1a simulates: each of its 3 x trials rows then holds at
 # most 2^16 cells (512 kB as float64, over 1 MB once written as text).
 FIGURE_1A_CAP = 16
-
-# Most cells figure 1a's 3 x trials x 2^n block of counts may hold: 128 MB as
-# int64, some 0.5 GB once its rows exist as Python floats.
-FIGURE_1A_CELLS = 1 << 24
 
 
 def _as_generator(seed) -> np.random.Generator:
@@ -100,37 +98,24 @@ class ExperimentConfig:
                 raise ValueError(
                     f"pi has {arr.size} cells, width {self.n} needs {1 << self.n}"
                 )
-            if not ((arr >= 0).all() and abs(float(arr.sum()) - 1.0) <= 1e-9):
-                raise ValueError("pi must be a probability distribution")
-            object.__setattr__(self, "pi", arr)
+            object.__setattr__(self, "pi", check_distribution(arr))
         elif self.pi != FLAT_DIRICHLET:
             raise ValueError(
                 f"pi must be a vector or {FLAT_DIRICHLET!r}, got {self.pi!r}"
             )
 
     @classmethod
-    def from_mapping(cls, raw: dict, base: "ExperimentConfig | None" = None) -> "ExperimentConfig":
-        """Build from a flat mapping (config file or collected CLI flags)."""
-        cfg = base or cls()
-        known = {}
-        seed = {"seed": cfg.seed.seed, "stream": cfg.seed.stream}
-        for key, value in raw.items():
-            if value is None:
-                continue
-            if key in ("n", "m", "trials", "k"):
-                known[key] = value
-            elif key == "pi":
-                known["pi"] = value if isinstance(value, str) else np.asarray(value, dtype=np.float64)
-            elif key == "mechanism":
-                known["mechanism"] = (
-                    parse_mechanism(value) if isinstance(value, str) else value
-                )
-            elif key in seed:
-                seed[key] = value
-            else:
-                raise ValueError(f"unknown experiment setting {key!r}")
-        known["seed"] = RandomSeed(**seed)
-        return replace(cfg, **known)
+    def from_mapping(cls, raw: dict) -> "ExperimentConfig":
+        """Build from a flat mapping (config file or collected CLI flags);
+        settings it leaves out or sets to None keep their defaults."""
+        known = {key: value for key, value in raw.items() if value is not None}
+        unknown = set(known) - {"n", "m", "trials", "k", "pi", "mechanism", "seed", "stream"}
+        if unknown:
+            raise ValueError(f"unknown experiment setting {min(unknown)!r}")
+        if isinstance(known.get("mechanism"), str):
+            known["mechanism"] = parse_mechanism(known["mechanism"])
+        seed = RandomSeed(known.pop("seed", 0), known.pop("stream", 0))
+        return cls(**known, seed=seed)
 
 
 def _trial_seed(cfg: ExperimentConfig, trial: int) -> RandomSeed:
@@ -154,27 +139,25 @@ def figure_1a(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     the randomized counts of all trials are then estimated as one block per
     estimator, which gives every row the bits a per-trial estimate would.
     Widths above :data:`FIGURE_1A_CAP`, and blocks of more than
-    :data:`FIGURE_1A_CELLS` cells, are refused before any 2^n-cell array
-    exists.
+    :data:`~bisymrr.errors.CELL_CAP` cells, are refused before any 2^n-cell
+    array exists.
     """
     if cfg.n > FIGURE_1A_CAP:
         raise WidthCapError(
             f"figure 1a at width {cfg.n} exceeds the cap of {FIGURE_1A_CAP}"
         )
     cells = 1 << cfg.n
-    if 3 * cfg.trials * cells > FIGURE_1A_CELLS:
+    if 3 * cfg.trials * cells > CELL_CAP:
         raise WidthCapError(
             f"figure 1a with {cfg.trials} trials at width {cfg.n} needs "
-            f"3 x {cfg.trials} x 2^{cfg.n} cells, above the cap of {FIGURE_1A_CELLS}"
+            f"3 x {cfg.trials} x 2^{cfg.n} cells, above the cap of {CELL_CAP}"
         )
     if isinstance(cfg.pi, str):
         pi = sample_flat_dirichlet(cells, cfg.seed)
     else:
         pi = cfg.pi
     a = effective_a(cfg.mechanism)
-    c = trace_constant(a, cfg.n)
-    loss_flat = efficiency_loss(2.0 / (cells + 1), c)
-    m_scaled = math.ceil(loss_flat * cfg.m)
+    m_scaled = math.ceil(flat_average_loss(a, cfg.n) * cfg.m)
     mixed = apply_kernel(pi, a, 1.0 - a)
 
     columns = ["trial", "estimator", "m"] + [f"cell_{p}" for p in _cell_labels(cfg.n)]
@@ -204,10 +187,9 @@ def figure_1b(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     columns = ["n", "p", "a", "loss_flat", "log10_loss_flat"]
     rows: list[list] = []
     for n in range(1, 13):
-        cells = 1 << n
         for p in (0.0001, 0.5, 0.9999):
-            a = (2.0 - p) / 2.0
-            value = efficiency_loss(2.0 / (cells + 1), trace_constant(a, n))
+            a = effective_a(UnrelatedUniform(p))
+            value = flat_average_loss(a, n)
             rows.append([n, p, a, value, math.log10(value)])
     return columns, rows
 
@@ -218,15 +200,13 @@ def figure_1c(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     columns = ["n", "trial", "s", "loss_exact", "loss_flat", "ratio"]
     rows: list[list] = []
     for n in range(2, 13):
-        cells = 1 << n
-        c = trace_constant(a, n)
-        flat = efficiency_loss(2.0 / (cells + 1), c)
         for trial in range(cfg.trials):
             # separate stream per (width, trial) so any subset reproduces
             stream_seed = RandomSeed(cfg.seed.seed, cfg.seed.stream + (n << 32) + trial + 1)
-            pi = sample_flat_dirichlet(cells, stream_seed)
+            pi = sample_flat_dirichlet(1 << n, stream_seed)
             s = float(pi @ pi)
-            exact = efficiency_loss(s, c)
+            report = loss(s, a, n)
+            exact, flat = report.loss_L, report.loss_approx
             rows.append([n, trial, s, exact, flat, exact / flat])
     return columns, rows
 
@@ -243,9 +223,8 @@ def figure_2a(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
         p = i * 0.005
         if p == 0.5:
             continue
-        c_u = unrelated_c(p, cfg.n)
-        c_w = warner_c(p, cfg.n)
-        rows.append([p, c_u, c_w, c_u / c_w])
+        both = compare(p, cfg.n)
+        rows.append([p, both.c_unrelated, both.c_warner, both.ratio])
     return columns, rows
 
 
@@ -274,11 +253,13 @@ FIGURES = {
     "2b": figure_2b,
 }
 
-# Settings each dataset was designed around; flags and config files override.
+# The settings each dataset reads, at the values it was designed around: flags
+# and config files may set only these, and its header records exactly these.
 FIGURE_DEFAULTS: dict[str, dict] = {
-    "1a": {"n": 2, "m": 1000, "trials": 100, "pi": (0.05, 0.15, 0.3, 0.5)},
+    "1a": {"n": 2, "m": 1000, "trials": 100, "mechanism": "unrelated:0.5",
+           "pi": (0.05, 0.15, 0.3, 0.5), "seed": 0, "stream": 0},
     "1b": {},
-    "1c": {"trials": 100},
+    "1c": {"trials": 100, "mechanism": "unrelated:0.5", "seed": 0, "stream": 0},
     "2a": {"n": 1},
     "2b": {"n": 1, "k": 1},
 }

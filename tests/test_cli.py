@@ -18,9 +18,26 @@ from bisymrr import (
     read_matrix,
     write_corpus,
 )
+from bisymrr import corpus_io, estimator
 from bisymrr.cli import _mechanism_text, main
+from bisymrr.figures import FIGURE_DEFAULTS
 
 PI = np.array([0.05, 0.15, 0.3, 0.5])
+
+# The settings each figure reads, in header order, and one valid value of
+# every setting that ``figures`` takes (as a flag and as a config-file key).
+READS = {
+    "1a": ["n", "m", "trials", "mechanism", "pi", "seed", "stream"],
+    "1b": [],
+    "1c": ["trials", "mechanism", "seed", "stream"],
+    "2a": ["n"],
+    "2b": ["n", "k"],
+}
+SETTINGS = {
+    "n": 2, "m": 10, "trials": 2, "mechanism": "warner:0.7",
+    "pi": "dirichlet-flat", "seed": 1, "stream": 1, "k": 2,
+}
+UNREAD = [(which, key) for which, keys in READS.items() for key in SETTINGS if key not in keys]
 
 
 def run(capsys, *argv):
@@ -193,6 +210,16 @@ class TestEstimate:
 
 
 class TestLoss:
+    @pytest.mark.parametrize(
+        "text", ["0.1 0.1 0.1 0.1", "-0.5 0.5 0.5 0.5", "nan 0.5 0.25 0.25", "inf 0 0 0"]
+    )
+    def test_pi_file_that_is_no_distribution_exits_2(self, tmp_path, capsys, text):
+        pi_file = tmp_path / "pi.csv"
+        pi_file.write_text(text + "\n")
+        code, out, err = run(capsys, "loss", "--a", "0.75", "--n", "2", "--pi", str(pi_file))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: pi must be a probability distribution")
+
     def test_headline_row(self, capsys):
         code, out, _ = run(capsys, "loss", "--a", "0.75", "--n", "2", "--s", "0.4")
         assert code == 0
@@ -275,17 +302,74 @@ class TestFigures:
 
     def test_defaults_in_header(self, capsys):
         _, out, _ = run(capsys, "figures", "2a")
-        header = out.splitlines()[0]
-        assert header.startswith("# figure=2a n=1 ")
-        assert "mechanism=unrelated:0.5" in header
+        assert out.splitlines()[0] == "# figure=2a n=1"
+        _, out, _ = run(capsys, "figures", "1c")
+        assert out.splitlines()[0] == "# figure=1c trials=100 mechanism=unrelated:0.5 seed=0 stream=0"
 
     def test_row_content_matches_library(self, capsys):
-        _, out, _ = run(capsys, "figures", "2b", "--trials", "1")
+        _, out, _ = run(capsys, "figures", "2b")
         lines = out.splitlines()
         assert lines[1] == "alpha,a,c_unrelated,c_warner"
         first = lines[2].split(",")
         assert float(first[0]) == pytest.approx(0.2)
         assert first[2] == first[3]  # equal-budget coincidence, byte for byte
+
+    def test_figure_defaults_name_the_settings_read(self):
+        assert {which: list(entry) for which, entry in FIGURE_DEFAULTS.items()} == READS
+        assert len(UNREAD) == 26
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("which, key", UNREAD)
+    def test_unread_setting_exits_2(self, tmp_path, capsys, which, key, via):
+        if via == "flag":
+            given = [f"--{key}", str(SETTINGS[key])]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: SETTINGS[key]}))
+            given = ["--config", str(cfg)]
+        path = tmp_path / "fig.csv"
+        code, out, err = run(capsys, "figures", which, *given, "--out", str(path))
+        assert (code, out, err) == (2, "", f"error: figure {which} reads no setting {key}\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("which", ["1b", "2a", "2b"])
+    def test_a_shortcut_is_the_mechanism_setting(self, capsys, which):
+        code, out, err = run(capsys, "figures", which, "--a", "0.75")
+        assert (code, out, err) == (2, "", f"error: figure {which} reads no setting mechanism\n")
+
+    @pytest.mark.parametrize("which", sorted(READS))
+    def test_header_is_exactly_the_settings_read(self, capsys, which):
+        headers = {
+            "1a": "# figure=1a n=2 m=1000 trials=100 mechanism=unrelated:0.5 "
+                  "pi=0.050000000000000003,0.14999999999999999,0.29999999999999999,0.5 "
+                  "seed=0 stream=0",
+            "1b": "# figure=1b",
+            "1c": "# figure=1c trials=100 mechanism=unrelated:0.5 seed=0 stream=0",
+            "2a": "# figure=2a n=1",
+            "2b": "# figure=2b n=1 k=1",
+        }
+        code, out, _ = run(capsys, "figures", which)
+        assert code == 0
+        assert out.split("\n", 1)[0] == headers[which]
+
+    def test_null_config_value_sets_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pi": None, "k": None}))
+        _, default, _ = run(capsys, "figures", "1a", "--trials", "2")
+        assert run(capsys, "figures", "1a", "--trials", "2", "--config", str(cfg)) == (0, default, "")
+
+    def test_header_records_config_keys_and_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 1, "m": 10, "pi": [0.25, 0.75], "stream": 4, "seed": 8}))
+        code, out, _ = run(
+            capsys, "figures", "1a", "--config", str(cfg),
+            "--trials", "2", "--a", "0.8", "--seed", "3",
+        )
+        assert code == 0
+        assert out.split("\n", 1)[0] == (
+            "# figure=1a n=1 m=10 trials=2 mechanism=direct:0.80000000000000004 "
+            "pi=0.25,0.75 seed=3 stream=4"
+        )
 
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "fig.csv"
@@ -424,7 +508,7 @@ class TestClosedHoles:
 
     @pytest.mark.parametrize("flag", ["--seed", "--stream"])
     def test_negative_seed_exits_2(self, capsys, flag):
-        code, _, err = run(capsys, "figures", "2a", flag, "-1")
+        code, _, err = run(capsys, "figures", "1c", flag, "-1")
         assert code == 2
         assert err.startswith(f"error: {flag[2:]} must be an integer >= 0")
 
@@ -456,6 +540,54 @@ class TestClosedHoles:
         path.write_text(f"{header}\n{body}\n")
         code, out, err = run(capsys, "estimate", str(path), "--a", "0.75")
         assert (code, out, err) == (4, "", f"error: {message}\n")
+
+    def test_wide_marginal_exits_5_before_any_allocation(self, tmp_path, monkeypatch, capsys):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("2^40 cells requested before the cell check")
+
+        path = tmp_path / "wide.csv"
+        write_corpus(path, ResponseCorpus(np.zeros((2, 40), dtype=np.uint8)))
+        monkeypatch.setattr(estimator.np, "bincount", no_allocation)
+        monkeypatch.setattr("bisymrr.cli._cell_labels", no_allocation)
+        code, out, err = run(capsys, "estimate", str(path), "--a", "0.75")
+        assert (code, out, err) == (
+            5, "", "error: a marginal on 40 bits has 2^40 cells, above the cap of 16777216\n"
+        )
+
+    @pytest.mark.parametrize(
+        "extra, code, message",
+        [
+            ([], 5, "a marginal on 100000000000 bits has 2^100000000000 cells, "
+                    "above the cap of 16777216"),
+            (["--bits", "0"], 2, "empty corpus: cannot estimate from zero records"),
+        ],
+    )
+    def test_empty_corpus_of_huge_width_builds_no_row_template(
+        self, tmp_path, monkeypatch, capsys, extra, code, message
+    ):
+        def no_allocation(*args):
+            raise AssertionError("row template built for an empty corpus")
+
+        path = tmp_path / "wide.csv"
+        path.write_text("# width=100000000000 m=0\n")
+        monkeypatch.setattr(corpus_io, "_row_template", no_allocation)
+        assert run(capsys, "estimate", str(path), "--a", "0.75", *extra) == (
+            code, "", f"error: {message}\n"
+        )
+        assert run(capsys, "randomize", str(path), "--a", "0.75") == (
+            0, "# width=100000000000 m=0 a=0.75 mechanism=direct:0.75 seed=0 stream=0\n", ""
+        )
+
+    @pytest.mark.parametrize("bits", ["", ",", "0,,1", "x"])
+    def test_bits_that_name_no_positions_exit_2(self, tmp_path, monkeypatch, capsys, bits):
+        def no_histogram(*args):
+            raise AssertionError("histogram built from an unreadable --bits")
+
+        path = truthful_corpus_file(tmp_path, PI, 20, 2)
+        monkeypatch.setattr("bisymrr.cli.marginal_histogram", no_histogram)
+        code, out, err = run(capsys, "estimate", str(path), "--a", "0.75", "--bits", bits)
+        assert (code, out) == (2, "")
+        assert err == f"error: --bits must be comma-separated bit positions, got {bits!r}\n"
 
     def test_figure_1a_width_cap_exits_5(self, monkeypatch, capsys):
         from bisymrr import figures

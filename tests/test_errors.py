@@ -17,6 +17,7 @@ from bisymrr.errors import (
     WidthCapError,
     check_budget,
     check_count,
+    check_distribution,
     check_finite,
     check_invertible,
     check_probability,
@@ -181,6 +182,35 @@ def test_invertible(value, expected):
 )
 def test_squared_mass(value, expected):
     assert outcome(check_squared_mass, value) is expected
+
+
+@pytest.mark.parametrize(
+    "value,expected",
+    [
+        ([NAN, 1.0], ValueError),
+        ([INF, 0.0], ValueError),
+        ([-INF, 1.0], ValueError),
+        ([-1.0, 1.0, 1.0], ValueError),
+        ([2.5, -1.5], ValueError),
+        ([0.1] * 4, ValueError),
+        ([0.5, 0.5 + 2e-9], ValueError),
+        ([], ValueError),
+        ([1.0], None),
+        ([0.0, 1.0], None),
+        ([0.5, 0.5 + 5e-10], None),
+        ([0.05, 0.15, 0.3, 0.5], None),
+    ],
+)
+def test_distribution(value, expected):
+    try:
+        got = check_distribution(value)
+    except ValueError as exc:
+        assert str(exc).startswith("pi must be a probability distribution")
+        got = ValueError
+    else:
+        assert got.dtype == np.float64 and got.tolist() == value
+        got = None
+    assert got is expected
 
 
 def test_messages_name_the_argument_and_value():

@@ -77,6 +77,22 @@ class TestHistogram:
         with pytest.raises(ValueError, match="bit position"):
             marginal_histogram(CORPUS, [0.5])
 
+    def test_marginal_above_cell_cap_refused_before_reading_positions(self, monkeypatch):
+        class Unread:
+            def __len__(self):
+                return 25
+
+            def __iter__(self):
+                raise AssertionError("positions read before the cell check")
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("2^25 cells requested before the cell check")
+
+        monkeypatch.setattr(np, "bincount", no_allocation)
+        wide = ResponseCorpus(np.zeros((2, 25), dtype=np.uint8))
+        with pytest.raises(WidthCapError, match="^a marginal on 25 bits has 2\\^25 cells, above the cap of 16777216$"):
+            marginal_histogram(wide, Unread())
+
 
 class TestEstimate:
     def test_identity_channel(self):

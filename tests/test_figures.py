@@ -8,9 +8,9 @@ import pytest
 from bisymrr import RandomSeed, UnrelatedUniform, Warner, WidthCapError, figures
 from bisymrr.cli import main
 from bisymrr.estimator import efficiency_loss, loss, trace_constant
+from bisymrr.errors import CELL_CAP
 from bisymrr.figures import (
     FIGURE_1A_CAP,
-    FIGURE_1A_CELLS,
     FIGURE_DEFAULTS,
     FIGURES,
     ExperimentConfig,
@@ -89,15 +89,15 @@ class TestExperimentConfig:
             with pytest.raises(ValueError):
                 ExperimentConfig(**bad)
 
-    def test_from_mapping_overrides_base(self):
-        base = ExperimentConfig()
+    def test_from_mapping_overrides_defaults(self):
         cfg = ExperimentConfig.from_mapping(
-            {"n": 3, "mechanism": "warner:0.7", "seed": 5, "stream": 2}, base
+            {"n": 3, "mechanism": "warner:0.7", "seed": 5, "stream": 2}
         )
         assert cfg.n == 3
         assert cfg.mechanism == Warner(0.7)
         assert cfg.seed == RandomSeed(5, 2)
-        assert cfg.m == base.m  # untouched settings survive
+        assert cfg.m == ExperimentConfig().m  # unset settings keep their defaults
+        assert ExperimentConfig.from_mapping({"stream": 4}).seed == RandomSeed(0, 4)
 
     @pytest.mark.parametrize("key", ["n", "m", "trials", "k", "seed", "stream"])
     def test_from_mapping_rejects_fractional_counts(self, key):
@@ -200,8 +200,8 @@ class TestFigure1a:
 
         monkeypatch.setattr(figures, "sample_flat_dirichlet", no_allocation)
         monkeypatch.setattr(figures, "apply_kernel", no_allocation)
-        trials = FIGURE_1A_CELLS // (3 << 8) + 1
-        with pytest.raises(WidthCapError, match=f"above the cap of {FIGURE_1A_CELLS}"):
+        trials = CELL_CAP // (3 << 8) + 1
+        with pytest.raises(WidthCapError, match=f"above the cap of {CELL_CAP}"):
             figure_1a(default_cfg("1a", n=8, pi="dirichlet-flat", trials=trials))
 
 

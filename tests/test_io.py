@@ -53,6 +53,18 @@ class TestCorpusRoundtrip:
         got, _ = roundtrip(ResponseCorpus(np.zeros((0, 2), dtype=np.uint8)))
         assert got.m == 0 and got.width == 2
 
+    def test_empty_corpus_of_huge_width_builds_no_row_template(self, monkeypatch):
+        def no_allocation(*args):
+            raise AssertionError("row template built for an empty corpus")
+
+        monkeypatch.setattr(corpus_io, "_row_template", no_allocation)
+        wide = ResponseCorpus(np.zeros((0, 10**11), dtype=np.uint8))
+        buf = io.StringIO()
+        write_corpus(buf, wide)
+        assert buf.getvalue() == "# width=100000000000 m=0\n"
+        got, _ = read_corpus(io.StringIO(buf.getvalue()))
+        assert got.bits.shape == (0, 10**11)
+
     def test_file_paths(self, tmp_path):
         path = tmp_path / "corpus.csv"
         write_corpus(path, CORPUS, {"seed": 1})
