@@ -21,13 +21,14 @@ import sys
 
 from .channel import DENSE_CAP, inverse_parameter, materialize
 from .corpus_io import (
-    format_float,
+    _format_value,
+    _writing,
     read_corpus,
     read_vector,
     write_corpus,
+    write_header,
     write_matrix,
     write_table,
-    _writing,
 )
 from .errors import (
     CELL_CAP,
@@ -55,7 +56,6 @@ from .figures import (
 )
 from .privacy import a_for_epsilon, report_for_a
 from .randomizer import (
-    _MECHANISMS,
     Direct,
     RandomSeed,
     effective_a,
@@ -79,24 +79,10 @@ def _mechanism_from_args(args, required: bool = True):
     return None
 
 
-def _mechanism_text(spec) -> str:
-    """``name:value``, or ``name:key=value,...`` for several fields, as
-    parse_mechanism reads it back."""
-    name, fields = next(
-        (name, fields)
-        for name, (cls, fields) in _MECHANISMS.items()
-        if type(spec) is cls
-    )
-    values = [format_float(getattr(spec, f)) for f in fields]
-    if len(fields) == 1:
-        return f"{name}:{values[0]}"
-    return f"{name}:" + ",".join(f"{f}={v}" for f, v in zip(fields, values))
-
-
-def _write_keyvals(args, rows) -> int:
+def _write_keyvals(args, fields: dict) -> int:
     """The ``key,value`` CSV the loss and privacy reports print."""
     with _writing(args.out or sys.stdout) as out:
-        write_table(out, rows, ["key", "value"])
+        write_table(out, ([k, _format_value(v)] for k, v in fields.items()), ["key", "value"])
     return 0
 
 
@@ -115,14 +101,7 @@ def cmd_randomize(args) -> int:
     a = effective_a(spec)
     seed = RandomSeed(args.seed, args.stream)
     result = randomize_corpus(corpus, a, seed)
-    meta.update(
-        {
-            "a": a,
-            "mechanism": _mechanism_text(spec),
-            "seed": args.seed,
-            "stream": args.stream,
-        }
-    )
+    meta.update(a=a, mechanism=spec, seed=args.seed, stream=args.stream)
     with _writing(args.out if args.out else sys.stdout) as out:
         write_corpus(out, result, meta)
     return 0
@@ -134,7 +113,10 @@ def cmd_estimate(args) -> int:
     if spec is not None:
         a = effective_a(spec)
     elif "a" in meta:
-        a = float(meta["a"])
+        try:
+            a = float(meta["a"])
+        except ValueError:
+            raise CorpusFormatError(f"header value a={meta['a']} is not a number", line=1) from None
     else:
         raise ValueError(
             "no channel parameter: give --a or --mechanism, or estimate from "
@@ -152,11 +134,8 @@ def cmd_estimate(args) -> int:
     if args.project:
         result = project_to_simplex(result)
     with _writing(args.out if args.out else sys.stdout) as out:
-        bits_text = ",".join(str(p) for p in positions)
-        out.write(
-            f"# width={corpus.width} m={corpus.m} a={format_float(a)} "
-            f"bits={bits_text} projected={int(args.project)}\n"
-        )
+        header = dict(width=corpus.width, m=corpus.m, a=a, bits=positions, projected=args.project)
+        write_header(out, header)
         write_table(
             out, zip(_cell_labels(len(positions)), result.tolist()), ["pattern", "estimate"]
         )
@@ -175,19 +154,10 @@ def cmd_loss(args) -> int:
         s = float(pi @ pi)
     else:
         s = args.s
-    report = loss(s, a, n)
-    rows = [
-        ("a", a),
-        ("c", report.c),
-        ("s", report.s),
-        ("trace_cov", report.trace_cov),
-        ("loss_L", report.loss_L),
-        ("loss_floor", report.loss_floor),
-        ("loss_approx", report.loss_approx),
-    ]
+    fields = {"a": a, **vars(loss(s, a, n))}
     if n > 2:
-        rows.append(("approx_quality", loss_approx_quality(n)))
-    return _write_keyvals(args, rows)
+        fields["approx_quality"] = loss_approx_quality(n)
+    return _write_keyvals(args, fields)
 
 
 def cmd_privacy(args) -> int:
@@ -197,29 +167,7 @@ def cmd_privacy(args) -> int:
     k = args.k if args.k is not None else n
     s = args.s if args.s is not None else 1.0 / (1 << n)
     a = args.a if args.epsilon is None else a_for_epsilon(args.epsilon, k)
-    report = report_for_a(a, k, n, s)
-    rows = [
-        ("a", report.a),
-        ("ratio", report.ratio),
-        ("epsilon_per_bit", report.epsilon_per_bit),
-        ("epsilon_total", report.epsilon_total),
-        ("k", k),
-        ("n", n),
-        ("s", s),
-        ("c_at_alpha", report.c_at_alpha),
-        ("loss_at_alpha", report.loss_at_alpha),
-    ]
-    return _write_keyvals(args, rows)
-
-
-def _setting_text(cfg: ExperimentConfig, key: str) -> str:
-    """One figure setting as its header records it."""
-    value = getattr(cfg.seed if key in ("seed", "stream") else cfg, key)
-    if key == "mechanism":
-        return _mechanism_text(value)
-    if key == "pi" and not isinstance(value, str):
-        return ",".join(map(format_float, value))
-    return str(value)
+    return _write_keyvals(args, vars(report_for_a(a, k, n, s)))
 
 
 def cmd_figures(args) -> int:
@@ -250,9 +198,11 @@ def cmd_figures(args) -> int:
         )
     cfg = ExperimentConfig.from_mapping({**reads, **settings})
     columns, rows = build_figure(args.which, cfg)
-    header = [f"figure={args.which}"] + [f"{key}={_setting_text(cfg, key)}" for key in reads]
+    header = {"figure": args.which}
+    for key in reads:
+        header[key] = getattr(cfg.seed if key in ("seed", "stream") else cfg, key)
     with _writing(args.out if args.out else sys.stdout) as out:
-        out.write(f"# {' '.join(header)}\n")
+        write_header(out, header)
         write_table(out, rows, columns)
     return 0
 
@@ -372,7 +322,8 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except (BisymrrError, ValueError, OverflowError, OSError) as exc:
-        detail = f"numerical overflow: {exc}" if isinstance(exc, OverflowError) else exc
+        # an errno OverflowError carries (errno, reason): print the reason
+        detail = f"numerical overflow: {exc.args[-1]}" if isinstance(exc, OverflowError) else exc
         print(f"error: {detail}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
 

@@ -8,10 +8,11 @@ per record::
     1,1
     0,1
 
-``width`` and ``m`` are mandatory and checked against the data; other header
-keys ride along untouched, which lets the randomize command record the channel
-parameter and seed next to the data they produced.  Numbers are always written
-with 17 significant digits so parse(emit(x)) recovers every float bit-exactly.
+``width`` and ``m`` are mandatory and checked against the data, no key may
+appear twice, and other header keys ride along untouched, which lets the
+randomize command record the channel parameter and seed next to the data they
+produced.  Numbers are always written with 17 significant digits so
+parse(emit(x)) recovers every float bit-exactly.
 
 Every data row of a corpus is ``2·width`` characters, so both directions run
 as one numpy pass over a byte buffer: the writer adds the bits to a row
@@ -24,15 +25,18 @@ That parser sizes its array by the body it was given, never by the header
 alone, so a header claiming a huge ``m`` or ``width`` is refused with a line
 number rather than allocated.
 
-Every other CSV the package writes (estimates, figure datasets, matrices and
-key,value reports) goes through :func:`write_table`, which formats rows in
-blocks of about :data:`TABLE_BLOCK_CELLS` cells with one ``%`` template per
-table, byte for byte as :func:`_format_value` renders each cell.
+This module is the only one that turns values into text.  Every ``#
+key=value`` line (corpora, estimates, figure datasets) comes from
+:func:`write_header`, every header field and report value from
+:func:`_format_value`, and every other CSV (estimates, figure datasets,
+matrices and key,value reports) from :func:`write_table`, which formats
+column-uniform rows of ``str``, ``int`` and ``float`` cells in blocks of about
+:data:`TABLE_BLOCK_CELLS` cells with one ``%`` template per table, byte for
+byte as :func:`_format_value` renders each cell.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import nullcontext
 from itertools import chain, islice
 from typing import Iterable, Mapping, Sequence
@@ -40,7 +44,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import CorpusFormatError
-from .randomizer import ResponseCorpus
+from .randomizer import _MECHANISMS, RandomizerSpec, ResponseCorpus
 
 
 def format_float(x: float) -> str:
@@ -61,25 +65,42 @@ def _writing(f):
     return open(f, "w", encoding="utf-8")
 
 
+def mechanism_text(spec: RandomizerSpec) -> str:
+    """``name:value``, or ``name:key=value,...`` for several fields, as
+    :func:`~bisymrr.randomizer.parse_mechanism` reads it back."""
+    name, fields = next((name, f) for name, (cls, f) in _MECHANISMS.items() if type(spec) is cls)
+    values = [format_float(getattr(spec, f)) for f in fields]
+    if len(fields) == 1:
+        return f"{name}:{values[0]}"
+    return f"{name}:" + ",".join(f"{f}={v}" for f, v in zip(fields, values))
+
+
 def _format_value(value) -> str:
-    """A header value or CSV cell: floats at 17 digits, booleans as 0/1."""
+    """A header value or report cell: booleans as 0/1, floats at 17 digits,
+    arrays and lists comma-joined, mechanism specs by :func:`mechanism_text`."""
     if isinstance(value, bool):
         return str(int(value))
     if isinstance(value, float):
         return format_float(value)
+    if isinstance(value, (list, range, np.ndarray)):
+        return ",".join(map(_format_value, value))
+    if isinstance(value, RandomizerSpec):
+        return mechanism_text(value)
     return str(value)
+
+
+def write_header(out, fields: Mapping[str, object]) -> None:
+    """The ``# key=value ...`` line heading a corpus, an estimate or a figure."""
+    out.write("# " + " ".join(f"{k}={_format_value(v)}" for k, v in fields.items()) + "\n")
 
 
 def write_corpus(f, corpus: ResponseCorpus, meta: Mapping[str, object] | None = None) -> None:
     """Write a corpus with its header; extra metadata keys follow width and m."""
     fields = {"width": corpus.width, "m": corpus.m}
     for key, value in (meta or {}).items():
-        if key in ("width", "m"):
-            continue
-        fields[key] = value
-    header = " ".join(f"{k}={_format_value(v)}" for k, v in fields.items())
+        fields.setdefault(key, value)
     with _writing(f) as out:
-        out.write(f"# {header}\n")
+        write_header(out, fields)
         if corpus.m:  # no template for an empty corpus, whatever its width
             rows = (_row_template(corpus.width) + corpus.bits).astype("<u2", copy=False)
             out.write(rows.tobytes().decode("ascii"))
@@ -113,6 +134,8 @@ def _parse_header(line: str) -> tuple[dict[str, str], int, int]:
         key, sep, value = token.partition("=")
         if not sep:
             raise CorpusFormatError(f"header token {token!r} is not key=value", line=1)
+        if key in meta:
+            raise CorpusFormatError(f"header repeats key {key!r}", line=1)
         meta[key] = value
     try:
         width = int(meta["width"])
@@ -217,41 +240,28 @@ def write_matrix(f, matrix: np.ndarray) -> None:
 TABLE_BLOCK_CELLS = 2048
 
 
-def _float_conversion() -> str | None:
-    """``%.17g`` if it renders floats exactly as :func:`format_float` does,
-    else None: :func:`format_float` alone decides how a float is written, and
-    tables fall back to it cell by cell should the two ever disagree."""
-    probes = (math.pi, -0.0, 1e17, 5e-324, math.inf, -math.inf, math.nan)
-    if all("%.17g" % x == format_float(x) for x in probes):
-        return "%.17g"
-    return None
+class _Conversion:
+    """Formats as ``%`` and the spec it is given: ``format_float(_Conversion())``
+    reads the one float format off :func:`format_float` for table templates."""
+
+    def __format__(self, spec: str) -> str:
+        return "%" + spec
 
 
-_FLOAT_CONVERSION = _float_conversion()
-
-
-def _cell_conversion(kind: type) -> str | None:
-    """The % conversion that renders every value of type ``kind`` exactly as
-    :func:`_format_value` does, or None where none is known to (float
-    subclasses that may format themselves differently)."""
-    if kind is bool:
-        return "%d"
-    if kind is float or kind is np.float64:
-        return _FLOAT_CONVERSION
-    if issubclass(kind, float):
-        return None
-    return "%s"
+# The % conversion of each type a table cell may have; subclasses such as
+# bool and np.float64 are not among them.
+_CONVERSIONS = {str: "%s", int: "%d", float: format_float(_Conversion())}
 
 
 def write_table(out, rows: Iterable[Sequence], columns: Sequence[str] | None = None) -> None:
     """Write ``rows`` as CSV lines after an optional line of column names.
 
-    Every cell comes out as :func:`_format_value` renders it.  The cell types
-    of the first row fix one ``%`` template for the table, and each block of
-    about :data:`TABLE_BLOCK_CELLS` cells whose types match it row for row is
-    formatted by one ``%`` call; any other block (ragged rows, a column
-    whose type varies) is formatted cell by cell, so a float never meets
-    ``%d``.  ``rows`` is consumed one block at a time.
+    Every cell is a ``str``, an ``int`` or a ``float``, and every row has the
+    first row's length and cell types, which fix one ``%`` template for the
+    table; each block of about :data:`TABLE_BLOCK_CELLS` cells is formatted by
+    one ``%`` call, byte for byte as :func:`_format_value` renders each cell.
+    A row that breaks this is a caller's error and raises TypeError (blocks
+    before it are already written).  ``rows`` is consumed one block at a time.
     """
     if columns is not None:
         out.write(",".join(columns) + "\n")
@@ -260,20 +270,16 @@ def write_table(out, rows: Iterable[Sequence], columns: Sequence[str] | None = N
     if first is None:
         return
     kinds = list(map(type, first))
-    conversions = list(map(_cell_conversion, kinds))
-    template = None if None in conversions else ",".join(conversions) + "\n"
+    if not set(kinds) <= _CONVERSIONS.keys():
+        raise TypeError(f"table cells must be str, int or float, got {kinds}")
+    template = ",".join(_CONVERSIONS[kind] for kind in kinds) + "\n"
     per_block = max(1, TABLE_BLOCK_CELLS // max(len(kinds), 1))
     rows = chain([first], rows)
     while block := list(islice(rows, per_block)):
         cells = list(chain.from_iterable(block))
-        if (
-            template is not None
-            and set(map(len, block)) == {len(kinds)}
-            and list(map(type, cells)) == kinds * len(block)
-        ):
-            out.write(template * len(block) % tuple(cells))
-        else:
-            out.write("".join(",".join(map(_format_value, row)) + "\n" for row in block))
+        if set(map(len, block)) != {len(kinds)} or list(map(type, cells)) != kinds * len(block):
+            raise TypeError(f"every table row must have the first row's cell types {kinds}")
+        out.write(template * len(block) % tuple(cells))
 
 
 def read_matrix(f) -> np.ndarray:
@@ -317,6 +323,8 @@ def read_vector(f) -> np.ndarray:
 
 __all__ = [
     "format_float",
+    "mechanism_text",
+    "write_header",
     "write_corpus",
     "read_corpus",
     "write_matrix",

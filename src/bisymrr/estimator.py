@@ -226,7 +226,9 @@ def greenwood_moments(n: int) -> tuple[float, float]:
     2^n-cell simplex: 2/(N+1) and 4(N-1)/((N+1)^2 (N+2)(N+3)) with N = 2^n."""
     cells = float(1 << check_width(n, 1))
     mean = 2.0 / (cells + 1.0)
-    variance = 4.0 * (cells - 1.0) / ((cells + 1.0) ** 2 * (cells + 2.0) * (cells + 3.0))
+    # products, not **, so the denominator goes to inf (n >= 256) rather than
+    # raising, and the 4 last, so the numerator stays finite up to n = 1023
+    variance = (cells - 1.0) / ((cells + 1.0) * (cells + 1.0) * (cells + 2.0) * (cells + 3.0)) * 4.0
     return mean, variance
 
 

@@ -93,12 +93,17 @@ class PrivacyBudget:
 
 @dataclass(frozen=True)
 class PrivacyReport:
-    """Both directions of the budget conversion plus the cost it implies."""
+    """Both directions of the budget conversion plus the cost it implies, for
+    inputs differing in at most k of n bits and a distribution whose squared
+    cell masses sum to s; fields in the order ``bisymrr privacy`` prints them."""
 
     a: float
     ratio: float
     epsilon_per_bit: float
     epsilon_total: float
+    k: int
+    n: int
+    s: float
     c_at_alpha: float
     loss_at_alpha: float
 
@@ -115,6 +120,9 @@ def report_for_a(a: float, k: int, n: int, s: float) -> PrivacyReport:
         ratio=ratio,
         epsilon_per_bit=per_bit,
         epsilon_total=total,
+        k=k,
+        n=n,
+        s=s,
         c_at_alpha=c,
         loss_at_alpha=efficiency_loss(s, c),
     )

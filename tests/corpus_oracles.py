@@ -38,6 +38,8 @@ def read_corpus_lines(f) -> tuple[ResponseCorpus, dict[str, str]]:
         key, sep, value = token.partition("=")
         if not sep:
             raise CorpusFormatError(f"header token {token!r} is not key=value", line=1)
+        if key in meta:
+            raise CorpusFormatError(f"header repeats key {key!r}", line=1)
         meta[key] = value
     try:
         width = int(meta["width"])

@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ from bisymrr import (
     write_corpus,
 )
 from bisymrr import corpus_io, estimator
-from bisymrr.cli import _mechanism_text, main
+from bisymrr.cli import main
+from bisymrr.corpus_io import mechanism_text
 from bisymrr.figures import FIGURE_DEFAULTS
 
 PI = np.array([0.05, 0.15, 0.3, 0.5])
@@ -172,6 +175,18 @@ class TestEstimate:
         assert code == 2
         assert out == ""
         assert err.startswith("error: a must lie in [0, 1]")
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("# width=2 m=3 a=foo", "header value a=foo is not a number"),
+            ("# width=2 m=3 m=3", "header repeats key 'm'"),
+        ],
+    )
+    def test_bad_header_value_exits_4(self, tmp_path, capsys, header, message):
+        path = tmp_path / "noisy.csv"
+        path.write_text(f"{header}\n0,1\n1,1\n0,0\n")
+        assert run(capsys, "estimate", str(path)) == (4, "", f"error: line 1: {message}\n")
 
     def test_project_gives_distribution(self, tmp_path, capsys):
         path = truthful_corpus_file(tmp_path, [0, 0, 0, 1], 3, 2)
@@ -411,11 +426,11 @@ class TestMechanismText:
         )
     )
     def test_parse_round_trip(self, spec):
-        assert parse_mechanism(_mechanism_text(spec)) == spec
+        assert parse_mechanism(mechanism_text(spec)) == spec
 
     def test_single_and_keyed_forms(self):
-        assert _mechanism_text(Warner(0.7)) == "warner:0.69999999999999996"
-        assert _mechanism_text(RapporFull(0.5, 0.75, p=0.25)) == "rappor:f=0.5,q=0.75"
+        assert mechanism_text(Warner(0.7)) == "warner:0.69999999999999996"
+        assert mechanism_text(RapporFull(0.5, 0.75, p=0.25)) == "rappor:f=0.5,q=0.75"
 
 
 class TestTopLevel:
@@ -470,6 +485,26 @@ class TestClosedHoles:
         assert code == 2
         assert out == ""
         assert err.startswith("error: numerical overflow")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("loss", "--a", "0.75", "--n", "1000", "--s", "0.5"),
+            ("privacy", "--a", "0.75", "--n", "1000"),
+            ("figures", "2a", "--n", "1000"),
+        ],
+    )
+    def test_overflow_names_its_reason_not_an_errno_tuple(self, capsys, argv):
+        reason = os.strerror(errno.ERANGE)  # "Numerical result out of range" on Linux
+        assert run(capsys, *argv) == (2, "", f"error: numerical overflow: {reason}\n")
+
+    @pytest.mark.parametrize("n", ["600", "1022", "1023"])
+    def test_wide_loss_with_finite_values_prints_them(self, capsys, n):
+        code, out, err = run(capsys, "loss", "--a", "1", "--n", n, "--s", "0.5")
+        assert (code, err) == (0, "")
+        got = parse_keyvals(out)
+        assert got["approx_quality"] == "0"
+        assert all(math.isfinite(float(v)) for v in got.values())
 
     @pytest.mark.parametrize(
         "argv",
@@ -625,15 +660,83 @@ class TestClosedHoles:
 
 class TestBrokenPipe:
     def test_piped_reader_exiting_early_is_quiet(self):
-        # drives the installed console path for real; head closes the pipe
+        # a real process writing into a real pipe; head closes it after a line
+        import shlex
         import subprocess
+        import sys
+        from pathlib import Path
 
+        src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run(
-            "bisymrr figures 2a | head -n 1",
+            f"{shlex.quote(sys.executable)} -m bisymrr figures 2a | head -n 1",
             shell=True,
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=120,
         )
         assert proc.returncode == 0
+        assert proc.stdout == "# figure=2a n=1\n"
         assert "Exception ignored" not in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+# Output of the non-figure commands, byte for byte; figure datasets are pinned
+# by the committed files under out/.
+PINNED = [
+    (("matrix", "0.75", "1", "--inverse"), "1.5,-0.5\n-0.5,1.5\n"),
+    (
+        ("loss", "--a", "0.75", "--n", "4", "--s", "0.1"),
+        "key,value\n"
+        "a,0.75\n"
+        "c,39.0625\n"
+        "s,0.10000000000000001\n"
+        "trace_cov,38.962499999999999\n"
+        "loss_L,43.291666666666664\n"
+        "loss_floor,41.600000000000001\n"
+        "loss_approx,44.137500000000003\n"
+        "approx_quality,0.0020823956854546829\n",
+    ),
+    (
+        ("privacy", "--a", "0.8", "--n", "3"),
+        "key,value\n"
+        "a,0.80000000000000004\n"
+        "ratio,4.0000000000000009\n"
+        "epsilon_per_bit,1.3862943611198908\n"
+        "epsilon_total,4.1588830833596724\n"
+        "k,3\n"
+        "n,3\n"
+        "s,0.125\n"
+        "c_at_alpha,6.7393689986282546\n"
+        "loss_at_alpha,7.5592788555751484\n",
+    ),
+    (
+        ("estimate", "--a", "0.75", "--bits", "0,1", "CORPUS"),
+        "# width=2 m=3 a=0.75 bits=0,1 projected=0\n"
+        "pattern,estimate\n"
+        "00,-0.41666666666666669\n"
+        "10,-0.083333333333333343\n"
+        "01,1.25\n"
+        "11,0.25\n",
+    ),
+]
+
+
+class TestPinnedBytes:
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        path = tmp_path / "c3.csv"
+        path.write_text("# width=2 m=3\n0,1\n1,1\n0,1\n")
+        return str(path)
+
+    @pytest.mark.parametrize("argv, text", PINNED, ids=[argv[0] for argv, _ in PINNED])
+    def test_stdout(self, capsys, corpus, argv, text):
+        argv = [corpus if arg == "CORPUS" else arg for arg in argv]
+        assert run(capsys, *argv) == (0, text, "")
+
+    def test_randomize_header(self, capsys, corpus):
+        code, out, _ = run(capsys, "randomize", corpus, "--mechanism", "rappor:f=0.5,q=0.75")
+        assert code == 0
+        assert out.splitlines()[0] == (
+            "# width=2 m=3 a=0.625 mechanism=rappor:f=0.5,q=0.75 seed=0 stream=0"
+        )

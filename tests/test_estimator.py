@@ -378,6 +378,18 @@ class TestGreenwoodMoments:
         with pytest.raises(ValueError):
             greenwood_moments(0)
 
+    def test_same_bits_as_the_squared_form_wherever_that_is_finite(self):
+        for n in range(1, 512):
+            cells = float(1 << n)
+            squared = 4.0 * (cells - 1.0) / ((cells + 1.0) ** 2 * (cells + 2.0) * (cells + 3.0))
+            assert greenwood_moments(n) == (2.0 / (cells + 1.0), squared), n
+
+    @pytest.mark.parametrize("n", [512, 600, 1022, 1023])
+    def test_variance_underflows_to_zero_up_to_the_widest_width(self, n):
+        mean, variance = greenwood_moments(n)
+        assert mean == 2.0 / (2.0**n + 1.0) and variance == 0.0
+        assert loss_approx_quality(n) == 0.0
+
 
 class TestLossApproxQuality:
     def second_order_bound(self, n: int, c: float) -> float:

@@ -157,6 +157,7 @@ class TestReports:
         assert rep.epsilon_total == pytest.approx(math.log(3), abs=1e-15)
         assert rep.c_at_alpha == pytest.approx(2.5, abs=1e-12)
         assert rep.a == 0.75
+        assert (rep.k, rep.n, rep.s) == (1, 1, 0.5)
 
     def test_report_totals_scale_with_k(self):
         rep = report_for_a(0.8, k=4, n=2, s=0.25)
