@@ -1,6 +1,11 @@
 """Bitwise randomized response: randomize binary records with per-bit flips,
 recover unbiased marginal estimates, and price the privacy/accuracy trade.
 
+Warner's coin flip, Simmons' unrelated question and Rappor's one-time and
+full modes are dials of one family: each :class:`Mechanism` fixes a per-bit
+truth probability ``a`` (:func:`effective_a`), the only thing the channel
+sees.
+
 The flip channel factorizes over bits, so every matrix this package touches
 is an iterated Kronecker power of one 2x2 kernel; entries, inverses, traces,
 and privacy budgets all have closed forms.  Every channel application is one
@@ -67,14 +72,9 @@ from .privacy import (
     report_for_epsilon,
 )
 from .randomizer import (
-    Direct,
-    RandomizerSpec,
+    Mechanism,
     RandomSeed,
-    RapporFull,
-    RapporOneTime,
     ResponseCorpus,
-    UnrelatedUniform,
-    Warner,
     effective_a,
     parse_mechanism,
     randomize,
@@ -90,24 +90,19 @@ __all__ = [
     "CorpusFormatError",
     "DENSE_CAP",
     "DegenerateDistributionError",
-    "Direct",
     "ExperimentConfig",
     "FIGURES",
     "FIGURE_DEFAULTS",
     "Histogram",
     "InfiniteDisclosureError",
     "LossReport",
+    "Mechanism",
     "MechanismComparison",
     "PrivacyBudget",
     "PrivacyReport",
     "RandomSeed",
-    "RandomizerSpec",
-    "RapporFull",
-    "RapporOneTime",
     "ResponseCorpus",
     "SingularChannelError",
-    "UnrelatedUniform",
-    "Warner",
     "WidthCapError",
     "a_for_epsilon",
     "apply_kernel",

@@ -23,6 +23,7 @@ from .channel import DENSE_CAP, inverse_parameter, materialize
 from .corpus_io import (
     _format_value,
     _writing,
+    mechanism_forms,
     read_corpus,
     read_vector,
     write_corpus,
@@ -55,13 +56,7 @@ from .figures import (
     build_figure,
 )
 from .privacy import a_for_epsilon, report_for_a
-from .randomizer import (
-    Direct,
-    RandomSeed,
-    effective_a,
-    parse_mechanism,
-    randomize_corpus,
-)
+from .randomizer import Mechanism, RandomSeed, effective_a, parse_mechanism, randomize_corpus
 
 
 def _mechanism_from_args(args, required: bool = True):
@@ -71,7 +66,7 @@ def _mechanism_from_args(args, required: bool = True):
     if has_a and has_mech:
         raise ValueError("give either --a or --mechanism, not both")
     if has_a:
-        return Direct(args.a)
+        return Mechanism("direct", (args.a,))
     if has_mech:
         return parse_mechanism(args.mechanism)
     if required:
@@ -163,7 +158,7 @@ def cmd_loss(args) -> int:
 def cmd_privacy(args) -> int:
     if (args.a is None) == (args.epsilon is None):
         raise ValueError("give exactly one of --a or --epsilon")
-    n = check_width(args.n)
+    n = check_width(args.n, 1)
     k = args.k if args.k is not None else n
     s = args.s if args.s is not None else 1.0 / (1 << n)
     a = args.a if args.epsilon is None else a_for_epsilon(args.epsilon, k)
@@ -236,11 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("randomize", help="randomize a corpus file")
     p.add_argument("input", help="corpus file ('# width=.. m=..' header + bit rows)")
     p.add_argument("--a", type=float, help="per-bit truth probability")
-    p.add_argument(
-        "--mechanism",
-        help="mechanism spec, e.g. direct:0.75, warner:0.7, unrelated:0.5, "
-        "rappor1:0.5, rappor:f=0.5,q=0.75",
-    )
+    p.add_argument("--mechanism", help=f"mechanism spec: one of {mechanism_forms()}")
     p.add_argument("--seed", type=int, default=0, help="randomness seed")
     p.add_argument("--stream", type=int, default=0, help="substream id")
     p.set_defaults(func=cmd_randomize)
@@ -292,7 +283,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="responses per trial")
     p.add_argument("--trials", type=int, help="number of trials")
     p.add_argument("--pi", help="comma-separated distribution or 'dirichlet-flat'")
-    p.add_argument("--mechanism", help="mechanism spec (default unrelated:0.5)")
+    p.add_argument(
+        "--mechanism", help=f"mechanism spec (default {FIGURE_DEFAULTS['1a']['mechanism']})"
+    )
     p.add_argument("--a", type=float, help="shortcut for --mechanism direct:<a>")
     p.add_argument("--seed", type=int, help="randomness seed")
     p.add_argument("--stream", type=int, help="substream id")

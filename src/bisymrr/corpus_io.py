@@ -44,7 +44,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import CorpusFormatError
-from .randomizer import _MECHANISMS, RandomizerSpec, ResponseCorpus
+from .randomizer import _MECHANISMS, Mechanism, ResponseCorpus
 
 
 def format_float(x: float) -> str:
@@ -65,14 +65,25 @@ def _writing(f):
     return open(f, "w", encoding="utf-8")
 
 
-def mechanism_text(spec: RandomizerSpec) -> str:
-    """``name:value``, or ``name:key=value,...`` for several fields, as
-    :func:`~bisymrr.randomizer.parse_mechanism` reads it back."""
-    name, fields = next((name, f) for name, (cls, f) in _MECHANISMS.items() if type(spec) is cls)
-    values = [format_float(getattr(spec, f)) for f in fields]
+def _spec_text(name: str, values: list[str]) -> str:
+    fields = _MECHANISMS[name][0]
     if len(fields) == 1:
         return f"{name}:{values[0]}"
     return f"{name}:" + ",".join(f"{f}={v}" for f, v in zip(fields, values))
+
+
+def mechanism_text(spec: Mechanism) -> str:
+    """``name:value``, or ``name:key=value,...`` for several fields, as
+    :func:`~bisymrr.randomizer.parse_mechanism` reads it back."""
+    return _spec_text(spec.name, [format_float(x) for x in spec.params])
+
+
+def mechanism_forms() -> str:
+    """Every mechanism's spec with placeholders: ``direct:<a>, ...,
+    rappor:f=<f>,q=<q>``."""
+    return ", ".join(
+        _spec_text(name, [f"<{f}>" for f in fields]) for name, (fields, *_) in _MECHANISMS.items()
+    )
 
 
 def _format_value(value) -> str:
@@ -84,7 +95,7 @@ def _format_value(value) -> str:
         return format_float(value)
     if isinstance(value, (list, range, np.ndarray)):
         return ",".join(map(_format_value, value))
-    if isinstance(value, RandomizerSpec):
+    if isinstance(value, Mechanism):
         return mechanism_text(value)
     return str(value)
 
@@ -324,6 +335,7 @@ def read_vector(f) -> np.ndarray:
 __all__ = [
     "format_float",
     "mechanism_text",
+    "mechanism_forms",
     "write_header",
     "write_corpus",
     "read_corpus",

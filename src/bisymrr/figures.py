@@ -38,13 +38,7 @@ from .channel import apply_kernel
 from .errors import CELL_CAP, WidthCapError, check_count, check_distribution
 from .estimator import estimate, flat_average_loss, loss
 from .privacy import a_for_epsilon
-from .randomizer import (
-    RandomizerSpec,
-    RandomSeed,
-    UnrelatedUniform,
-    effective_a,
-    parse_mechanism,
-)
+from .randomizer import Mechanism, RandomSeed, effective_a, parse_mechanism
 from .surveys import compare, unrelated_c, warner_c
 
 FLAT_DIRICHLET = "dirichlet-flat"
@@ -85,7 +79,7 @@ class ExperimentConfig:
     m: int = 1000
     trials: int = 100
     pi: "np.ndarray | str" = FLAT_DIRICHLET
-    mechanism: RandomizerSpec = field(default_factory=lambda: UnrelatedUniform(0.5))
+    mechanism: Mechanism = Mechanism("unrelated", (0.5,))
     seed: RandomSeed = field(default_factory=lambda: RandomSeed(0))
     k: int = 1
 
@@ -188,7 +182,7 @@ def figure_1b(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     rows: list[list] = []
     for n in range(1, 13):
         for p in (0.0001, 0.5, 0.9999):
-            a = effective_a(UnrelatedUniform(p))
+            a = effective_a(Mechanism("unrelated", (p,)))
             value = flat_average_loss(a, n)
             rows.append([n, p, a, value, math.log10(value)])
     return columns, rows

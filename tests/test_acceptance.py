@@ -15,11 +15,8 @@ import pytest
 import scipy.stats
 
 from bisymrr import (
+    Mechanism,
     RandomSeed,
-    RapporFull,
-    RapporOneTime,
-    UnrelatedUniform,
-    Warner,
     a_for_epsilon,
     c_at_alpha,
     cov_trace_closed_form,
@@ -100,7 +97,7 @@ def test_criterion_03_headline_loss():
 def test_criterion_04_scaled_run_matches_direct_accuracy():
     t0 = time.perf_counter()
     pi = np.array([0.05, 0.15, 0.3, 0.5])
-    a, n, trials = effective_a(UnrelatedUniform(0.5)), 2, 10_000
+    a, n, trials = effective_a(Mechanism("unrelated", (0.5,))), 2, 10_000
     m_direct, m_scaled = 1_000, 9_750
     mixed = materialize(a, n) @ pi
     rng = RandomSeed(404).generator()
@@ -133,18 +130,19 @@ def test_criterion_05_approximation_bound_magnitudes():
 
 
 def test_criterion_06_two_stage_mechanisms_match_channel():
+    # each label seeds its mechanism's draws
     specs = [
-        Warner(0.7),
-        UnrelatedUniform(0.5),
-        RapporOneTime(0.5),
-        RapporFull(0.5, 0.75),
+        ("Warner", Mechanism("warner", (0.7,))),
+        ("UnrelatedUniform", Mechanism("unrelated", (0.5,))),
+        ("RapporOneTime", Mechanism("rappor1", (0.5,))),
+        ("RapporFull", Mechanism("rappor", (0.5, 0.75))),
     ]
     n, per_input = 2, 25_000
     worst_p = 1.0
-    for spec in specs:
+    for label, spec in specs:
         a = effective_a(spec)
         for x in range(1 << n):
-            seed = zlib.crc32(f"acc6|{type(spec).__name__}|{x}".encode())
+            seed = zlib.crc32(f"acc6|{label}|{x}".encode())
             rng = np.random.default_rng(seed)
             counts = simulate(spec, n, x, per_input, rng)
             expected = per_input * np.array(

@@ -9,12 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bisymrr import (
-    Direct,
-    RapporFull,
-    RapporOneTime,
+    Mechanism,
     ResponseCorpus,
-    UnrelatedUniform,
-    Warner,
     materialize,
     parse_mechanism,
     read_matrix,
@@ -24,6 +20,7 @@ from bisymrr import corpus_io, estimator
 from bisymrr.cli import main
 from bisymrr.corpus_io import mechanism_text
 from bisymrr.figures import FIGURE_DEFAULTS
+from bisymrr.randomizer import _MECHANISMS
 
 PI = np.array([0.05, 0.15, 0.3, 0.5])
 
@@ -416,21 +413,25 @@ PROBABILITY = st.floats(0.0, 1.0, allow_nan=False)
 
 
 class TestMechanismText:
-    @given(
-        spec=st.one_of(
-            st.builds(Direct, PROBABILITY),
-            st.builds(Warner, PROBABILITY),
-            st.builds(UnrelatedUniform, PROBABILITY),
-            st.builds(RapporOneTime, PROBABILITY),
-            st.builds(RapporFull, PROBABILITY, PROBABILITY),
-        )
-    )
-    def test_parse_round_trip(self, spec):
-        assert parse_mechanism(mechanism_text(spec)) == spec
+    @given(st.data())
+    def test_parse_round_trip(self, data):
+        # every example runs every entry of the table, so none goes untested
+        for name, (fields, *_) in _MECHANISMS.items():
+            spec = Mechanism(name, data.draw(st.tuples(*[PROBABILITY] * len(fields))))
+            assert parse_mechanism(mechanism_text(spec)) == spec
 
     def test_single_and_keyed_forms(self):
-        assert mechanism_text(Warner(0.7)) == "warner:0.69999999999999996"
-        assert mechanism_text(RapporFull(0.5, 0.75, p=0.25)) == "rappor:f=0.5,q=0.75"
+        assert mechanism_text(Mechanism("warner", (0.7,))) == "warner:0.69999999999999996"
+        rappor = parse_mechanism("rappor:f=0.5,q=0.75,p=0.25")
+        assert mechanism_text(rappor) == "rappor:f=0.5,q=0.75"
+
+    def test_help_lists_every_form(self, capsys):
+        forms = "direct:<a>, warner:<p>, unrelated:<p>, rappor1:<f>, rappor:f=<f>,q=<q>"
+        assert corpus_io.mechanism_forms() == forms
+        code, out, _ = run(capsys, "randomize", "--help")
+        assert code == 0 and f"one of {forms} " in " ".join(out.split())
+        code, out, _ = run(capsys, "figures", "--help")
+        assert code == 0 and "mechanism spec (default unrelated:0.5)" in " ".join(out.split())
 
 
 class TestTopLevel:
@@ -511,6 +512,10 @@ class TestClosedHoles:
         [
             ("privacy", "--a", "0.75", "--n", "-1"),
             ("loss", "--a", "0.75", "--n", "-1", "--s", "0.5"),
+            ("privacy", "--a", "0.8", "--n", "0"),
+            ("privacy", "--epsilon", "1", "--n", "0"),
+            ("privacy", "--a", "0.8", "--n", "0", "--k", "1", "--s", "0.5"),
+            ("loss", "--a", "0.8", "--n", "0", "--s", "0.5"),
         ],
     )
     def test_negative_width_named(self, capsys, argv):
@@ -740,3 +745,36 @@ class TestPinnedBytes:
         assert out.splitlines()[0] == (
             "# width=2 m=3 a=0.625 mechanism=rappor:f=0.5,q=0.75 seed=0 stream=0"
         )
+
+    @pytest.mark.parametrize(
+        "flags, header",
+        [
+            (("--mechanism", "direct:0.75"), "a=0.75 mechanism=direct:0.75"),
+            (
+                ("--mechanism", "warner:0.7"),
+                "a=0.69999999999999996 mechanism=warner:0.69999999999999996",
+            ),
+            (
+                ("--mechanism", "unrelated:0.3"),
+                "a=0.84999999999999998 mechanism=unrelated:0.29999999999999999",
+            ),
+            (
+                ("--mechanism", "rappor1:0.45"),
+                "a=0.77500000000000002 mechanism=rappor1:0.45000000000000001",
+            ),
+            (("--mechanism", "rappor:f=0.5,q=0.75"), "a=0.625 mechanism=rappor:f=0.5,q=0.75"),
+            (
+                ("--mechanism", "rappor:f=0.5,q=0.7,p=0.3"),
+                "a=0.59999999999999998 mechanism=rappor:f=0.5,q=0.69999999999999996",
+            ),
+            (
+                ("--mechanism", "Rappor: q=0.7 , f=0.25"),
+                "a=0.64999999999999991 mechanism=rappor:f=0.25,q=0.69999999999999996",
+            ),
+            (("--a", "0.8"), "a=0.80000000000000004 mechanism=direct:0.80000000000000004"),
+        ],
+    )
+    def test_randomize_mechanism_header(self, capsys, corpus, flags, header):
+        code, out, _ = run(capsys, "randomize", corpus, *flags, "--seed", "3")
+        assert code == 0
+        assert out.splitlines()[0] == f"# width=2 m=3 {header} seed=3 stream=0"

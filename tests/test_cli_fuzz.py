@@ -37,6 +37,11 @@ MECHANISMS = st.sampled_from(
         "rappor:f=2,q=0.5",
         "bogus:1",
         "direct:",
+        "direct:a=0.7,a=0.8",
+        "warner:p=0.7,q=0.3",
+        "rappor:f=0.5",
+        "rappor:f=0.5,q=0.7,p=0.3",
+        "rappor:f=0.5,q=0.75,p=0.3",
     ]
 )
 BITS = st.sampled_from(["0", "2", "0,1", "1,0", "0,1,2", "5", "-1", "0.5"])

@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from bisymrr import RandomSeed, UnrelatedUniform, Warner, WidthCapError, figures
+from bisymrr import Mechanism, RandomSeed, WidthCapError, figures
 from bisymrr.cli import main
 from bisymrr.estimator import efficiency_loss, loss, trace_constant
 from bisymrr.errors import CELL_CAP
@@ -72,7 +72,7 @@ class TestExperimentConfig:
         cfg = ExperimentConfig()
         assert cfg.n == 2 and cfg.m == 1000 and cfg.trials == 100
         assert cfg.pi == "dirichlet-flat"
-        assert cfg.mechanism == UnrelatedUniform(0.5)
+        assert cfg.mechanism == Mechanism("unrelated", (0.5,))
 
     def test_pi_vector_validated(self):
         cfg = ExperimentConfig(n=1, pi=[0.3, 0.7])
@@ -94,7 +94,7 @@ class TestExperimentConfig:
             {"n": 3, "mechanism": "warner:0.7", "seed": 5, "stream": 2}
         )
         assert cfg.n == 3
-        assert cfg.mechanism == Warner(0.7)
+        assert cfg.mechanism == Mechanism("warner", (0.7,))
         assert cfg.seed == RandomSeed(5, 2)
         assert cfg.m == ExperimentConfig().m  # unset settings keep their defaults
         assert ExperimentConfig.from_mapping({"stream": 4}).seed == RandomSeed(0, 4)

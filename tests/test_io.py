@@ -19,7 +19,7 @@ from bisymrr import (
     write_matrix,
 )
 from bisymrr.corpus_io import _format_value, write_header, write_table
-from bisymrr.randomizer import RapporFull, Warner
+from bisymrr.randomizer import Mechanism
 from corpus_oracles import read_corpus_lines, write_corpus_rows
 from figure_oracles import format_rows_per_cell
 
@@ -356,8 +356,8 @@ class TestFormatValue:
             ("dirichlet-flat", "dirichlet-flat"),
             (np.array([0.1, 0.9]), "0.10000000000000001,0.90000000000000002"),
             (range(3), "0,1,2"),
-            (Warner(0.7), "warner:0.69999999999999996"),
-            (RapporFull(0.5, 0.75), "rappor:f=0.5,q=0.75"),
+            (Mechanism("warner", (0.7,)), "warner:0.69999999999999996"),
+            (Mechanism("rappor", (0.5, 0.75)), "rappor:f=0.5,q=0.75"),
         ],
     )
     def test_renders(self, value, text):

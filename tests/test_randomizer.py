@@ -7,13 +7,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from bisymrr import (
-    Direct,
+    Mechanism,
     RandomSeed,
-    RapporFull,
-    RapporOneTime,
     ResponseCorpus,
-    UnrelatedUniform,
-    Warner,
     effective_a,
     entry_at,
     materialize,
@@ -27,67 +23,136 @@ from twostage import simulate
 
 class TestEffectiveA:
     def test_direct_is_identity(self):
-        assert effective_a(Direct(0.62)) == 0.62
+        assert effective_a(Mechanism("direct", (0.62,))) == 0.62
 
     def test_warner_is_identity(self):
-        assert effective_a(Warner(0.7)) == 0.7
+        assert effective_a(Mechanism("warner", (0.7,))) == 0.7
 
     def test_unrelated_uniform(self):
-        assert effective_a(UnrelatedUniform(0.5)) == 0.75
+        assert effective_a(Mechanism("unrelated", (0.5,))) == 0.75
 
     def test_rappor_one_time(self):
-        assert effective_a(RapporOneTime(0.5)) == 0.75
+        assert effective_a(Mechanism("rappor1", (0.5,))) == 0.75
 
     def test_rappor_full(self):
-        assert effective_a(RapporFull(0.5, 0.75)) == 0.625
+        assert effective_a(Mechanism("rappor", (0.5, 0.75))) == 0.625
 
     @given(st.floats(0.0, 1.0, allow_nan=False))
     def test_unrelated_never_below_half(self, p):
-        assert 0.5 <= effective_a(UnrelatedUniform(p)) <= 1.0
+        assert 0.5 <= effective_a(Mechanism("unrelated", (p,))) <= 1.0
 
     def test_parameters_validated(self):
-        with pytest.raises(ValueError):
-            Direct(1.2)
-        with pytest.raises(ValueError):
-            Warner(-0.1)
+        with pytest.raises(ValueError, match=r"^a must lie in \[0, 1\], got 1.2$"):
+            Mechanism("direct", (1.2,))
+        with pytest.raises(ValueError, match=r"^p must lie"):
+            Mechanism("warner", (-0.1,))
+        with pytest.raises(ValueError, match=r"^q must lie"):
+            Mechanism("rappor", (0.5, float("nan")))
+
+    @pytest.mark.parametrize(
+        "name,params,match",
+        [
+            ("bogus", (0.5,), "unknown mechanism 'bogus'"),
+            ("Direct", (0.5,), "unknown mechanism 'Direct'"),
+            ("direct", (), r"'direct' takes 1 parameter\(s\) \(a\), got 0"),
+            ("rappor", (0.5,), r"'rappor' takes 2 parameter\(s\) \(f, q\), got 1"),
+        ],
+    )
+    def test_name_and_parameter_count_validated(self, name, params, match):
+        with pytest.raises(ValueError, match=match):
+            Mechanism(name, params)
+
+    def test_params_stored_as_float_tuple(self):
+        spec = Mechanism("rappor", [1, np.float64(0.75)])
+        assert spec == Mechanism("rappor", (1.0, 0.75))
+        assert type(spec.params) is tuple
+        assert all(type(x) is float for x in spec.params)
 
     def test_rappor_full_accepts_matching_p(self):
-        RapporFull(0.5, 0.75, p=0.25)
+        assert parse_mechanism("rappor:f=0.5,q=0.75,p=0.25") == Mechanism("rappor", (0.5, 0.75))
 
     def test_rappor_full_rejects_asymmetric_p(self):
         with pytest.raises(ValueError, match="symmetric"):
-            RapporFull(0.5, 0.75, p=0.3)
+            parse_mechanism("rappor:f=0.5,q=0.75,p=0.3")
 
     def test_rappor_full_accepts_p_one_rounding_off(self):
         # 1 - 0.7 is 0.30000000000000004 in binary floating point
-        assert effective_a(RapporFull(0.5, q=0.7, p=0.3)) == effective_a(RapporFull(0.5, 0.7))
+        spec = parse_mechanism("rappor:f=0.5,q=0.7,p=0.3")
+        assert effective_a(spec) == effective_a(Mechanism("rappor", (0.5, 0.7)))
 
     @pytest.mark.parametrize("p", [float("nan"), 0.25 + 1e-9])
     def test_rappor_full_rejects_nan_and_near_miss_p(self, p):
-        with pytest.raises(ValueError, match="symmetric"):
-            RapporFull(0.5, 0.75, p=p)
+        with pytest.raises(
+            ValueError,
+            match=r"^asymmetric instantaneous stage \(p=.*, q=0.75\) is not a bit-flip channel; "
+            "only the symmetric mode p = 1 - q is supported$",
+        ):
+            parse_mechanism(f"rappor:f=0.5,q=0.75,p={p!r}")
 
 
 class TestParseMechanism:
     @pytest.mark.parametrize(
         "text,expected",
         [
-            ("direct:0.75", Direct(0.75)),
-            ("warner:0.7", Warner(0.7)),
-            ("unrelated:0.5", UnrelatedUniform(0.5)),
-            ("rappor1:0.5", RapporOneTime(0.5)),
-            ("rappor:f=0.5,q=0.75", RapporFull(0.5, 0.75)),
-            ("rappor:0.5,0.75", RapporFull(0.5, 0.75)),
-            ("Direct:a=0.6", Direct(0.6)),
+            ("direct:0.75", Mechanism("direct", (0.75,))),
+            ("warner:0.7", Mechanism("warner", (0.7,))),
+            ("unrelated:0.5", Mechanism("unrelated", (0.5,))),
+            ("rappor1:0.5", Mechanism("rappor1", (0.5,))),
+            ("rappor:f=0.5,q=0.75", Mechanism("rappor", (0.5, 0.75))),
+            ("rappor:0.5,0.75", Mechanism("rappor", (0.5, 0.75))),
+            ("Direct:a=0.6", Mechanism("direct", (0.6,))),
+            ("rappor: q = 0.75 , f = 0.5 ", Mechanism("rappor", (0.5, 0.75))),
         ],
     )
     def test_roundtrips(self, text, expected):
         assert parse_mechanism(text) == expected
 
-    @pytest.mark.parametrize("text", ["bogus:0.5", "direct", "direct:", "rappor:f=0.5,z=1"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "bogus:0.5",
+            "direct",
+            "direct:",
+            "rappor:f=0.5,z=1",
+            "direct:a=0.7,a=0.8",
+            "warner:p=0.7,q=0.3",
+            "rappor:f=0.5",
+            "rappor:0.5",
+            "rappor:0.5,q=0.75",
+            "rappor:f=0.5,q=0.75,p=0.25,p=0.25",
+        ],
+    )
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             parse_mechanism(text)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("direct:a=0.7,a=0.8", "mechanism 'direct' got key 'a' twice"),
+            (
+                "warner:p=0.7,q=0.3",
+                "mechanism 'warner' takes p, in that order or as key=value pairs; got 'q=0.3'",
+            ),
+            (
+                "rappor:f=0.5,z=1",
+                "mechanism 'rappor' takes f, q, in that order or as key=value pairs; got 'z=1'",
+            ),
+            (
+                "rappor:0.5,q=0.75",
+                "mechanism 'rappor' takes f, q, in that order or as key=value pairs; got '0.5'",
+            ),
+            ("rappor:f=0.5", "mechanism 'rappor' takes 2 parameter(s) (f, q), got 1"),
+            ("rappor:q=0.5", "mechanism 'rappor' takes 2 parameter(s) (f, q), got 1"),
+            ("rappor:0.5", "mechanism 'rappor' takes 2 parameter(s) (f, q), got 1"),
+            ("direct:", "mechanism 'direct' takes 1 parameter(s) (a), got 0"),
+            ("unrelated", "mechanism 'unrelated' takes 1 parameter(s) (p), got 0"),
+        ],
+    )
+    def test_error_names_mechanism_and_fields(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_mechanism(text)
+        assert str(info.value) == message
 
 
 class TestCorpus:
@@ -213,21 +278,21 @@ class TestMechanismReduction:
     """The two-stage protocols land on the same conditional distribution as
     the single-flip channel at their effective parameter."""
 
+    # each label seeds the draws, so it is part of the test's data
     @pytest.mark.parametrize(
-        "spec",
+        "label,spec",
         [
-            Direct(0.8),
-            Warner(0.7),
-            UnrelatedUniform(0.5),
-            RapporOneTime(0.5),
-            RapporFull(0.5, 0.75),
+            pytest.param("Direct", Mechanism("direct", (0.8,)), id="Direct"),
+            pytest.param("Warner", Mechanism("warner", (0.7,)), id="Warner"),
+            pytest.param("UnrelatedUniform", Mechanism("unrelated", (0.5,)), id="UnrelatedUniform"),
+            pytest.param("RapporOneTime", Mechanism("rappor1", (0.5,)), id="RapporOneTime"),
+            pytest.param("RapporFull", Mechanism("rappor", (0.5, 0.75)), id="RapporFull"),
         ],
-        ids=lambda s: type(s).__name__,
     )
     @pytest.mark.parametrize("n,x", [(1, 1), (2, 2), (4, 5)])
-    def test_two_stage_matches_flip_channel(self, spec, n, x):
+    def test_two_stage_matches_flip_channel(self, label, spec, n, x):
         m = 100_000
-        rng = np.random.default_rng(zlib.crc32(f"{type(spec).__name__}|{n}|{x}".encode()))
+        rng = np.random.default_rng(zlib.crc32(f"{label}|{n}|{x}".encode()))
         counts = simulate(spec, n, x, m, rng)
         a = effective_a(spec)
         expected = m * np.array([entry_at(a, n, r, x) for r in range(1 << n)])

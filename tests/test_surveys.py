@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bisymrr import (
+    Mechanism,
     SingularChannelError,
-    UnrelatedUniform,
-    Warner,
     compare,
     effective_a,
     trace_constant,
@@ -35,7 +34,7 @@ class TestUnrelatedC:
     @pytest.mark.parametrize("p", np.linspace(0.05, 0.95, 10))
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_is_trace_constant_of_effective_channel(self, p, n):
-        a = effective_a(UnrelatedUniform(p))
+        a = effective_a(Mechanism("unrelated", (p,)))
         assert unrelated_c(p, n) == pytest.approx(trace_constant(a, n), rel=1e-12)
 
     def test_probability_validated(self):
@@ -65,7 +64,7 @@ class TestWarnerC:
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.66, 0.8, 0.97])
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_is_trace_constant_of_effective_channel(self, p, n):
-        a = effective_a(Warner(p))
+        a = effective_a(Mechanism("warner", (p,)))
         assert warner_c(p, n) == pytest.approx(trace_constant(a, n), rel=1e-12)
 
 

@@ -8,8 +8,6 @@ effective_a; that would collapse the two routes being compared.
 
 import numpy as np
 
-from bisymrr import Direct, RapporFull, RapporOneTime, UnrelatedUniform, Warner
-
 
 def _spread(x: int, n: int, m: int) -> np.ndarray:
     bits = np.array([(x >> t) & 1 for t in range(n)], dtype=np.uint8)
@@ -19,28 +17,33 @@ def _spread(x: int, n: int, m: int) -> np.ndarray:
 def simulate(spec, n: int, x: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Histogram of m protocol outputs for fixed input x (little-endian cells)."""
     truth = _spread(x, n, m)
-    if isinstance(spec, Direct):
-        flips = rng.random((m, n)) >= spec.a
+    if spec.name == "direct":
+        (a,) = spec.params
+        flips = rng.random((m, n)) >= a
         out = truth ^ flips.astype(np.uint8)
-    elif isinstance(spec, Warner):
-        truthful = rng.random((m, n)) < spec.p
+    elif spec.name == "warner":
+        (p,) = spec.params
+        truthful = rng.random((m, n)) < p
         out = np.where(truthful, truth, 1 - truth).astype(np.uint8)
-    elif isinstance(spec, UnrelatedUniform):
-        ask_coin = rng.random((m, n)) < spec.p
+    elif spec.name == "unrelated":
+        (p,) = spec.params
+        ask_coin = rng.random((m, n)) < p
         coin = rng.integers(0, 2, (m, n), dtype=np.uint8)
         out = np.where(ask_coin, coin, truth).astype(np.uint8)
-    elif isinstance(spec, RapporOneTime):
-        replaced = rng.random((m, n)) < spec.f
+    elif spec.name == "rappor1":
+        (f,) = spec.params
+        replaced = rng.random((m, n)) < f
         coin = rng.integers(0, 2, (m, n), dtype=np.uint8)
         out = np.where(replaced, coin, truth).astype(np.uint8)
-    elif isinstance(spec, RapporFull):
-        replaced = rng.random((m, n)) < spec.f
+    elif spec.name == "rappor":
+        f, q = spec.params
+        replaced = rng.random((m, n)) < f
         coin = rng.integers(0, 2, (m, n), dtype=np.uint8)
         memo = np.where(replaced, coin, truth)
-        prob_one = np.where(memo == 1, spec.q, 1.0 - spec.q)
+        prob_one = np.where(memo == 1, q, 1.0 - q)
         out = (rng.random((m, n)) < prob_one).astype(np.uint8)
     else:
-        raise TypeError(f"no simulator for {type(spec).__name__}")
+        raise TypeError(f"no simulator for {spec.name}")
     weights = 1 << np.arange(n)
     cells = (out.astype(np.int64) * weights).sum(axis=1)
     return np.bincount(cells, minlength=1 << n)
