@@ -11,135 +11,49 @@ is an iterated Kronecker power of one 2x2 kernel; entries, inverses, traces,
 and privacy budgets all have closed forms.  Every channel application is one
 per-axis kernel pass; the dense matrices exist only for the ``matrix`` command,
 which refuses widths above ``DENSE_CAP``.
+
+Importing the package loads none of its modules: each name below is imported
+from its module on first access, so ``import bisymrr`` and the command line's
+``--help`` never load numpy.
 """
 
-from .channel import (
-    DENSE_CAP,
-    BisymmetricChannel,
-    apply_kernel,
-    distinct_entries,
-    entry_at,
-    inverse_entry_at,
-    inverse_parameter,
-    materialize,
-)
-from .corpus_io import (
-    format_float,
-    read_corpus,
-    read_matrix,
-    read_vector,
-    write_corpus,
-    write_matrix,
-)
-from .errors import (
-    BisymrrError,
-    CorpusFormatError,
-    DegenerateDistributionError,
-    InfiniteDisclosureError,
-    SingularChannelError,
-    WidthCapError,
-)
-from .estimator import (
-    Histogram,
-    LossReport,
-    cov_trace_closed_form,
-    efficiency_loss,
-    estimate,
-    estimate_variance,
-    greenwood_moments,
-    loss,
-    loss_approx_quality,
-    marginal_histogram,
-    project_to_simplex,
-    trace_constant,
-)
-from .figures import (
-    FIGURE_DEFAULTS,
-    FIGURES,
-    ExperimentConfig,
-    build_figure,
-    sample_flat_dirichlet,
-)
-from .privacy import (
-    PrivacyBudget,
-    PrivacyReport,
-    a_for_epsilon,
-    c_at_alpha,
-    epsilon_of,
-    likelihood_ratio,
-    loss_at_alpha,
-    report_for_a,
-    report_for_epsilon,
-)
-from .randomizer import (
-    Mechanism,
-    RandomSeed,
-    ResponseCorpus,
-    effective_a,
-    parse_mechanism,
-    randomize,
-    randomize_corpus,
-)
-from .surveys import MechanismComparison, compare, unrelated_c, warner_c
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BisymmetricChannel",
-    "BisymrrError",
-    "CorpusFormatError",
-    "DENSE_CAP",
-    "DegenerateDistributionError",
-    "ExperimentConfig",
-    "FIGURES",
-    "FIGURE_DEFAULTS",
-    "Histogram",
-    "InfiniteDisclosureError",
-    "LossReport",
-    "Mechanism",
-    "MechanismComparison",
-    "PrivacyBudget",
-    "PrivacyReport",
-    "RandomSeed",
-    "ResponseCorpus",
-    "SingularChannelError",
-    "WidthCapError",
-    "a_for_epsilon",
-    "apply_kernel",
-    "build_figure",
-    "c_at_alpha",
-    "compare",
-    "cov_trace_closed_form",
-    "distinct_entries",
-    "effective_a",
-    "efficiency_loss",
-    "entry_at",
-    "epsilon_of",
-    "estimate",
-    "estimate_variance",
-    "format_float",
-    "greenwood_moments",
-    "inverse_entry_at",
-    "inverse_parameter",
-    "likelihood_ratio",
-    "loss",
-    "loss_approx_quality",
-    "loss_at_alpha",
-    "marginal_histogram",
-    "materialize",
-    "parse_mechanism",
-    "project_to_simplex",
-    "randomize",
-    "randomize_corpus",
-    "read_corpus",
-    "read_matrix",
-    "read_vector",
-    "report_for_a",
-    "report_for_epsilon",
-    "sample_flat_dirichlet",
-    "trace_constant",
-    "unrelated_c",
-    "warner_c",
-    "write_corpus",
-    "write_matrix",
-]
+# Each public name, by the module that defines it.
+_MODULE_OF = {
+    name: module
+    for module, names in {
+        "channel": "BisymmetricChannel apply_kernel distinct_entries entry_at "
+        "inverse_entry_at inverse_parameter materialize",
+        "corpus_io": "format_float read_corpus read_matrix read_vector write_corpus write_matrix",
+        "errors": "DENSE_CAP BisymrrError CorpusFormatError DegenerateDistributionError "
+        "InfiniteDisclosureError SingularChannelError WidthCapError",
+        "estimator": "Histogram LossReport cov_trace_closed_form efficiency_loss estimate "
+        "estimate_variance greenwood_moments loss loss_approx_quality marginal_histogram "
+        "project_to_simplex trace_constant",
+        "figures": "FIGURES ExperimentConfig build_figure sample_flat_dirichlet",
+        "parser": "FIGURE_DEFAULTS",
+        "privacy": "PrivacyBudget PrivacyReport a_for_epsilon c_at_alpha epsilon_of "
+        "likelihood_ratio loss_at_alpha report_for_a report_for_epsilon",
+        "randomizer": "RandomSeed ResponseCorpus randomize randomize_corpus",
+        "surveys": "Mechanism MechanismComparison compare effective_a parse_mechanism "
+        "unrelated_c warner_c",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

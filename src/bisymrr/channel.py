@@ -10,7 +10,7 @@ the matrix inverse is the same construction at parameter ``a / (2a - 1)``.
 Applying the matrix to a vector, or to each row of a block of vectors, is
 :func:`apply_kernel`, one 2x2 pass per bit axis; the dense :func:`materialize`
 serves only the ``matrix`` command and the test oracles, and refuses widths
-above :data:`DENSE_CAP`.
+above :data:`~bisymrr.errors.DENSE_CAP`.
 
 Index convention: bit i of a record carries index weight 2**i (the record
 (1, 0, 1) is cell 5).  Entries depend only on Hamming distance, so this choice
@@ -31,15 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DENSE_CAP,
     WidthCapError,
     check_count,
     check_finite,
     check_invertible,
     check_probability,
 )
-
-# Widest matrix materialize builds; 2^12 x 2^12 is 16.8M float64 entries, ~134 MB.
-DENSE_CAP = 12
 
 # Below this distance from 1/2 the inverse parameter a / (2a - 1) is so large
 # that estimates through it are statistically useless; inverse_parameter warns.

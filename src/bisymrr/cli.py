@@ -1,6 +1,9 @@
-"""Command-line front end.
+"""Command-line front end: the six commands, run on parsed arguments.
 
 Subcommands: matrix | randomize | estimate | loss | privacy | figures.
+:mod:`bisymrr.parser` parses the command line without numpy and imports this
+module, with every layer of the package, only to :func:`run` a command;
+:func:`main` is the parser's, re-exported here.
 Everything reads and writes flat CSV (stdout by default), all floats carry 17
 significant digits, and every randomized path takes an explicit seed.
 
@@ -14,16 +17,14 @@ above ``FIGURE_1A_CAP`` or with more than ``CELL_CAP`` cells in its
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 
-from .channel import DENSE_CAP, inverse_parameter, materialize
+from .channel import inverse_parameter, materialize
 from .corpus_io import (
     _format_value,
     _writing,
-    mechanism_forms,
     read_corpus,
     read_vector,
     write_corpus,
@@ -31,32 +32,20 @@ from .corpus_io import (
     write_matrix,
     write_table,
 )
-from .errors import (
-    CELL_CAP,
-    BisymrrError,
-    CorpusFormatError,
-    check_distribution,
-    check_probability,
-    check_width,
-)
+from .errors import BisymrrError, CorpusFormatError, check_probability, check_width
 from .estimator import (
+    check_distribution,
     estimate,
     loss,
     loss_approx_quality,
     marginal_histogram,
     project_to_simplex,
 )
-from .figures import (
-    ExperimentConfig,
-    FIGURE_1A_CAP,
-    FIGURE_DEFAULTS,
-    FLAT_DIRICHLET,
-    FIGURES,
-    _cell_labels,
-    build_figure,
-)
+from .figures import FLAT_DIRICHLET, ExperimentConfig, _cell_labels, build_figure
+from .parser import FIGURE_DEFAULTS, main
 from .privacy import a_for_epsilon, report_for_a
-from .randomizer import Mechanism, RandomSeed, effective_a, parse_mechanism, randomize_corpus
+from .randomizer import RandomSeed, randomize_corpus
+from .surveys import Mechanism, effective_a, parse_mechanism
 
 
 def _mechanism_from_args(args, required: bool = True):
@@ -202,110 +191,20 @@ def cmd_figures(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bisymrr",
-        description=(
-            "Bitwise randomized response: flip matrices, unbiased marginal "
-            "estimates, efficiency-loss and privacy-budget calculators, and "
-            "seeded experiment datasets."
-        ),
-        epilog=(
-            f"estimate always applies the channel inverse as a per-axis "
-            f"kernel pass and refuses a marginal of more than {CELL_CAP} "
-            f"cells (exit 5); matrix builds the dense matrix and refuses "
-            f"widths above {DENSE_CAP} (exit 5); figures 1a refuses --n above "
-            f"{FIGURE_1A_CAP} and 3 x trials x 2^n above {CELL_CAP} cells "
-            f"(exit 5); figures refuses any setting its dataset does not "
-            f"read (exit 2)."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("matrix", help="print a flip matrix or its inverse as CSV")
-    p.add_argument("a", type=float, help="per-bit truth probability")
-    p.add_argument("n", type=int, help="bit width")
-    p.add_argument("--inverse", action="store_true", help="emit the matrix inverse")
-    p.set_defaults(func=cmd_matrix)
-
-    p = sub.add_parser("randomize", help="randomize a corpus file")
-    p.add_argument("input", help="corpus file ('# width=.. m=..' header + bit rows)")
-    p.add_argument("--a", type=float, help="per-bit truth probability")
-    p.add_argument("--mechanism", help=f"mechanism spec: one of {mechanism_forms()}")
-    p.add_argument("--seed", type=int, default=0, help="randomness seed")
-    p.add_argument("--stream", type=int, default=0, help="substream id")
-    p.set_defaults(func=cmd_randomize)
-
-    p = sub.add_parser("estimate", help="estimate a marginal from a randomized corpus")
-    p.add_argument("input", help="randomized corpus file")
-    p.add_argument("--a", type=float, help="channel parameter (default: corpus header)")
-    p.add_argument("--mechanism", help="mechanism spec instead of --a")
-    p.add_argument(
-        "--bits", help="comma-separated bit positions, increasing (default: all)"
-    )
-    p.add_argument(
-        "--project",
-        action="store_true",
-        help="project the raw estimate onto the probability simplex",
-    )
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser("loss", help="closed-form efficiency-loss report")
-    p.add_argument("--a", type=float, help="per-bit truth probability")
-    p.add_argument("--mechanism", help="mechanism spec instead of --a")
-    p.add_argument("--n", type=int, required=True, help="bit width")
-    p.add_argument("--s", type=float, help="sum of squared cell probabilities")
-    p.add_argument("--pi", help="file with the distribution (s computed from it)")
-    p.set_defaults(func=cmd_loss)
-
-    p = sub.add_parser("privacy", help="privacy-budget report (both directions)")
-    p.add_argument("--a", type=float, help="per-bit truth probability")
-    p.add_argument("--epsilon", type=float, help="total budget to invert")
-    p.add_argument("--k", type=int, help="max differing bits (default: n)")
-    p.add_argument("--n", type=int, required=True, help="bit width")
-    p.add_argument(
-        "--s",
-        type=float,
-        help="sum of squared cell probabilities for the loss row (default 2^-n)",
-    )
-    p.set_defaults(func=cmd_privacy)
-
-    p = sub.add_parser(
-        "figures",
-        help="emit a canned experiment dataset as CSV; settings it does not read are refused",
-        epilog="Each dataset reads only these settings, refuses any other flag or config key "
-        "(exit 2) and records them in its header: "
-        + "; ".join(f"{w} {', '.join(keys) or 'none'}" for w, keys in FIGURE_DEFAULTS.items()),
-    )
-    p.add_argument("which", choices=sorted(FIGURES), help="dataset id")
-    p.add_argument("--config", help="JSON file of settings the dataset reads")
-    p.add_argument("--n", type=int, help="bit width")
-    p.add_argument("--m", type=int, help="responses per trial")
-    p.add_argument("--trials", type=int, help="number of trials")
-    p.add_argument("--pi", help="comma-separated distribution or 'dirichlet-flat'")
-    p.add_argument(
-        "--mechanism", help=f"mechanism spec (default {FIGURE_DEFAULTS['1a']['mechanism']})"
-    )
-    p.add_argument("--a", type=float, help="shortcut for --mechanism direct:<a>")
-    p.add_argument("--seed", type=int, help="randomness seed")
-    p.add_argument("--stream", type=int, help="substream id")
-    p.add_argument("--k", type=int, help="max differing bits for budget-indexed data")
-    p.set_defaults(func=cmd_figures)
-
-    for p in sub.choices.values():
-        p.add_argument("--out", help="output path (default stdout)")
-    return parser
+COMMANDS = {
+    "matrix": cmd_matrix,
+    "randomize": cmd_randomize,
+    "estimate": cmd_estimate,
+    "loss": cmd_loss,
+    "privacy": cmd_privacy,
+    "figures": cmd_figures,
+}
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
+def run(args) -> int:
+    """Run the command :func:`~bisymrr.parser.main` parsed; returns the exit code."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return 0 if code is None else (code if isinstance(code, int) else 2)
-    try:
-        code = args.func(args)
+        code = COMMANDS[args.command](args)
         # surface a closed-pipe stdout here, not in the shutdown flush where
         # it can no longer be handled
         sys.stdout.flush()

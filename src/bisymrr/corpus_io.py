@@ -44,7 +44,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import CorpusFormatError
-from .randomizer import _MECHANISMS, Mechanism, ResponseCorpus
+from .randomizer import ResponseCorpus
+from .surveys import Mechanism, _spec_text
 
 
 def format_float(x: float) -> str:
@@ -65,25 +66,10 @@ def _writing(f):
     return open(f, "w", encoding="utf-8")
 
 
-def _spec_text(name: str, values: list[str]) -> str:
-    fields = _MECHANISMS[name][0]
-    if len(fields) == 1:
-        return f"{name}:{values[0]}"
-    return f"{name}:" + ",".join(f"{f}={v}" for f, v in zip(fields, values))
-
-
 def mechanism_text(spec: Mechanism) -> str:
     """``name:value``, or ``name:key=value,...`` for several fields, as
-    :func:`~bisymrr.randomizer.parse_mechanism` reads it back."""
+    :func:`~bisymrr.surveys.parse_mechanism` reads it back."""
     return _spec_text(spec.name, [format_float(x) for x in spec.params])
-
-
-def mechanism_forms() -> str:
-    """Every mechanism's spec with placeholders: ``direct:<a>, ...,
-    rappor:f=<f>,q=<q>``."""
-    return ", ".join(
-        _spec_text(name, [f"<{f}>" for f in fields]) for name, (fields, *_) in _MECHANISMS.items()
-    )
 
 
 def _format_value(value) -> str:
@@ -335,7 +321,6 @@ def read_vector(f) -> np.ndarray:
 __all__ = [
     "format_float",
     "mechanism_text",
-    "mechanism_forms",
     "write_header",
     "write_corpus",
     "read_corpus",

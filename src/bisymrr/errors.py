@@ -4,11 +4,15 @@ Exit codes: 2 usage or domain error, 3 singular channel, 4 unparsable input
 file, 5 bit-width or block-size cap exceeded.  The ``check_*`` functions are
 the package's range checks on scalar arguments and return the argument; every
 comparison in them fails on NaN, and NaN is always a plain ValueError.
+
+The size caps live here too (:data:`MAX_WIDTH`, :data:`CELL_CAP`,
+:data:`DENSE_CAP`, :data:`FIGURE_1A_CAP`), so the argument parser can quote
+them in its help.  This module imports no numpy: the package namespace, the
+parser and :mod:`~bisymrr.surveys` load only it, which keeps ``--help`` and
+usage errors from ever loading numpy.
 """
 
 import math
-
-import numpy as np
 
 
 class BisymrrError(Exception):
@@ -26,9 +30,9 @@ class SingularChannelError(BisymrrError):
 
 class WidthCapError(BisymrrError):
     """A 2^n-entry array was requested above its fixed bit-width cap
-    (:data:`~bisymrr.channel.DENSE_CAP` for ``materialize``,
-    :data:`~bisymrr.figures.FIGURE_1A_CAP` for figure 1a), or a marginal or
-    figure 1a's block of trials above :data:`CELL_CAP` cells."""
+    (:data:`DENSE_CAP` for ``materialize``, :data:`FIGURE_1A_CAP` for
+    figure 1a), or a marginal or figure 1a's block of trials above
+    :data:`CELL_CAP` cells."""
 
     exit_code = 5
 
@@ -108,18 +112,12 @@ def check_width(n, minimum: int = 0) -> int:
 # cells and figure 1a's 3 x trials x 2^n block of counts.
 CELL_CAP = 1 << 24
 
+# Widest matrix materialize builds; 2^12 x 2^12 is 16.8M float64 entries, ~134 MB.
+DENSE_CAP = 12
 
-def check_distribution(pi, name: str = "pi") -> np.ndarray:
-    """A probability vector, returned flat as float64: finite, non-negative
-    cells summing to 1 within 1e-9."""
-    arr = np.asarray(pi, dtype=np.float64).reshape(-1)
-    total = float(arr.sum())
-    if not (np.isfinite(arr).all() and (arr >= 0).all() and abs(total - 1.0) <= 1e-9):
-        raise ValueError(
-            f"{name} must be a probability distribution: finite, non-negative "
-            "cells summing to 1"
-        )
-    return arr
+# Widest record figure 1a simulates: each of its 3 x trials rows then holds at
+# most 2^16 cells (512 kB as float64, over 1 MB once written as text).
+FIGURE_1A_CAP = 16
 
 
 def check_invertible(a: float, name: str = "a") -> float:

@@ -20,11 +20,12 @@ always emitted in trial order.  ``1a`` batches its work the way the channel
 allows: the kernel pass costs the same per vector on a ``trials x 2^n`` block
 as on one histogram, so all trials go through
 :func:`~bisymrr.estimator.estimate` as one block per estimator, its width is
-capped at :data:`FIGURE_1A_CAP` and its block at
+capped at :data:`~bisymrr.errors.FIGURE_1A_CAP` and its block at
 :data:`~bisymrr.errors.CELL_CAP` cells.  Figure functions return a column
 list and rows of plain Python values, which the CLI writes with
-:func:`~bisymrr.corpus_io.write_table`.  :data:`FIGURE_DEFAULTS` names the
-settings each figure reads.
+:func:`~bisymrr.corpus_io.write_table`.  The settings each figure reads, and
+their defaults, are :data:`~bisymrr.parser.FIGURE_DEFAULTS`, beside the
+argument parser that offers them.
 """
 
 from __future__ import annotations
@@ -35,17 +36,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import apply_kernel
-from .errors import CELL_CAP, WidthCapError, check_count, check_distribution
-from .estimator import estimate, flat_average_loss, loss
+from .errors import CELL_CAP, FIGURE_1A_CAP, WidthCapError, check_count
+from .estimator import check_distribution, estimate, flat_average_loss, loss
 from .privacy import a_for_epsilon
-from .randomizer import Mechanism, RandomSeed, effective_a, parse_mechanism
-from .surveys import compare, unrelated_c, warner_c
+from .randomizer import RandomSeed
+from .surveys import Mechanism, compare, effective_a, parse_mechanism, unrelated_c, warner_c
 
 FLAT_DIRICHLET = "dirichlet-flat"
-
-# Widest record figure 1a simulates: each of its 3 x trials rows then holds at
-# most 2^16 cells (512 kB as float64, over 1 MB once written as text).
-FIGURE_1A_CAP = 16
 
 
 def _as_generator(seed) -> np.random.Generator:
@@ -246,18 +243,6 @@ FIGURES = {
     "2a": figure_2a,
     "2b": figure_2b,
 }
-
-# The settings each dataset reads, at the values it was designed around: flags
-# and config files may set only these, and its header records exactly these.
-FIGURE_DEFAULTS: dict[str, dict] = {
-    "1a": {"n": 2, "m": 1000, "trials": 100, "mechanism": "unrelated:0.5",
-           "pi": (0.05, 0.15, 0.3, 0.5), "seed": 0, "stream": 0},
-    "1b": {},
-    "1c": {"trials": 100, "mechanism": "unrelated:0.5", "seed": 0, "stream": 0},
-    "2a": {"n": 1},
-    "2b": {"n": 1, "k": 1},
-}
-
 
 def build_figure(which: str, cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     try:

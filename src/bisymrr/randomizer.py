@@ -3,10 +3,10 @@
 All the survey and telemetry mechanisms handled here do the same thing once
 you squint: each bit of the record is reported truthfully with some effective
 probability ``a`` and flipped otherwise, independently across bits.  Each
-classic parameterization is a dial of that one family: :data:`_MECHANISMS`
-names its fields and the effective ``a`` they fix, and a :class:`Mechanism`
-is one name from that table with its parameters.  The actual randomization is
-a single XOR with a vector of Bernoulli(1 - a) draws.
+classic parameterization is a dial of that one family, named in
+:data:`~bisymrr.surveys._MECHANISMS`; this module sees only the effective
+``a``.  The actual randomization is a single XOR with a vector of
+Bernoulli(1 - a) draws.
 
 Reproducibility contract: randomness comes from a counter-based generator
 (numpy's Philox) keyed by (seed, stream).  Record j of a corpus consumes the
@@ -18,7 +18,6 @@ bit-identical.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,100 +114,6 @@ class ResponseCorpus:
         )
 
 
-def _symmetric_p(f: float, q: float, p: float) -> None:
-    # absolute tolerance: 0.3 and 1 - 0.7 differ by one ulp
-    if not math.isclose(p, 1.0 - q, rel_tol=0.0, abs_tol=1e-12):
-        raise ValueError(
-            f"asymmetric instantaneous stage (p={p}, q={q}) is not "
-            "a bit-flip channel; only the symmetric mode p = 1 - q is supported"
-        )
-
-
-# The family's dials, the one table of them: each name maps to its fields in
-# spec order, the effective a they fix, and the keys a spec may give besides
-# its fields, each with the check its value must pass.
-_MECHANISMS = {
-    # report each bit truthfully with probability a, flipped otherwise
-    "direct": (("a",), lambda a: a, {}),
-    # Warner's coin flip: answer the real question truthfully with
-    # probability p, otherwise answer its negation
-    "warner": (("p",), lambda p: p, {}),
-    # Simmons' unrelated question: with probability p answer a fair coin
-    # instead; truthful unless the coin both fires and disagrees
-    "unrelated": (("p",), lambda p: (2.0 - p) / 2.0, {}),
-    # Rappor's permanent stage alone: each bit is kept with probability 1 - f,
-    # else replaced by a fair coin
-    "rappor1": (("f",), lambda f: (2.0 - f) / 2.0, {}),
-    # Rappor's permanent stage (noise f), then the instantaneous stage: report
-    # 1 with probability q for a memoized 1 and p for a 0.  Only the symmetric
-    # mode p = 1 - q composes into one bit-flip channel, so p is no field; a
-    # spec may give it, and it is refused unless it equals 1 - q.  The two
-    # symmetric flips compose to a = q - (q - 1/2) f.
-    "rappor": (("f", "q"), lambda f, q: q - (q - 0.5) * f, {"p": _symmetric_p}),
-}
-
-
-def _entry(name: str) -> tuple:
-    if name not in _MECHANISMS:
-        known = ", ".join(sorted(_MECHANISMS))
-        raise ValueError(f"unknown mechanism {name!r}; expected one of: {known}")
-    return _MECHANISMS[name]
-
-
-@dataclass(frozen=True)
-class Mechanism:
-    """One dial of the family: a mechanism of :data:`_MECHANISMS` and its
-    parameters, floats in [0, 1] in the table's field order."""
-
-    name: str
-    params: tuple[float, ...]
-
-    def __post_init__(self):
-        fields, params = _entry(self.name)[0], tuple(self.params)
-        if len(params) != len(fields):
-            raise ValueError(
-                f"mechanism {self.name!r} takes {len(fields)} parameter(s) "
-                f"({', '.join(fields)}), got {len(params)}"
-            )
-        checked = tuple(float(check_probability(v, f)) for f, v in zip(fields, params))
-        object.__setattr__(self, "params", checked)
-
-
-def effective_a(spec: Mechanism) -> float:
-    """Truth probability per bit of the equivalent single-flip channel."""
-    return _MECHANISMS[spec.name][1](*spec.params)
-
-
-def parse_mechanism(text: str) -> Mechanism:
-    """Parse ``name:value,...`` (the values in field order) or
-    ``name:key=value,...`` for a mechanism of :data:`_MECHANISMS`;
-    :func:`~bisymrr.corpus_io.mechanism_text` writes this form.
-    """
-    name, _, rest = text.partition(":")
-    name = name.strip().lower()
-    fields, _, extra = _entry(name)
-    parts = [p.strip() for p in rest.split(",") if p.strip()]
-    if not any("=" in p for p in parts):
-        return Mechanism(name, tuple(float(p) for p in parts))
-    values = {}
-    for part in parts:
-        key, sep, value = part.partition("=")
-        key = key.strip()
-        if not sep or (key not in fields and key not in extra):
-            raise ValueError(
-                f"mechanism {name!r} takes {', '.join(fields)}, in that order or as "
-                f"key=value pairs; got {part!r}"
-            )
-        if key in values:
-            raise ValueError(f"mechanism {name!r} got key {key!r} twice")
-        values[key] = float(value)
-    spec = Mechanism(name, tuple(values[f] for f in fields if f in values))
-    for key, check in extra.items():
-        if key in values:
-            check(*spec.params, values[key])
-    return spec
-
-
 def randomize(
     x: np.ndarray, a: float, seed: RandomSeed, index: int = 0
 ) -> np.ndarray:
@@ -243,9 +148,6 @@ def randomize_corpus(c: ResponseCorpus, a: float, seed: RandomSeed) -> ResponseC
 __all__ = [
     "RandomSeed",
     "ResponseCorpus",
-    "Mechanism",
-    "effective_a",
-    "parse_mechanism",
     "randomize",
     "randomize_corpus",
 ]

@@ -13,7 +13,7 @@ from bisymrr.channel import apply_kernel
 from bisymrr.corpus_io import _format_value
 from bisymrr.estimator import efficiency_loss, estimate, trace_constant
 from bisymrr.figures import ExperimentConfig, _cell_labels, _trial_seed, sample_flat_dirichlet
-from bisymrr.randomizer import effective_a
+from bisymrr.surveys import effective_a
 
 
 def figure_1a_per_trial(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:

@@ -16,11 +16,11 @@ from bisymrr import (
     read_matrix,
     write_corpus,
 )
-from bisymrr import corpus_io, estimator
+from bisymrr import corpus_io, estimator, surveys
 from bisymrr.cli import main
 from bisymrr.corpus_io import mechanism_text
-from bisymrr.figures import FIGURE_DEFAULTS
-from bisymrr.randomizer import _MECHANISMS
+from bisymrr.parser import FIGURE_DEFAULTS
+from bisymrr.surveys import _MECHANISMS
 
 PI = np.array([0.05, 0.15, 0.3, 0.5])
 
@@ -427,7 +427,7 @@ class TestMechanismText:
 
     def test_help_lists_every_form(self, capsys):
         forms = "direct:<a>, warner:<p>, unrelated:<p>, rappor1:<f>, rappor:f=<f>,q=<q>"
-        assert corpus_io.mechanism_forms() == forms
+        assert surveys.mechanism_forms() == forms
         code, out, _ = run(capsys, "randomize", "--help")
         assert code == 0 and f"one of {forms} " in " ".join(out.split())
         code, out, _ = run(capsys, "figures", "--help")
@@ -471,6 +471,17 @@ class TestClosedHoles:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("direct:abc", "mechanism 'direct' field a must be a number, got 'abc'"),
+            ("rappor:f=0.5,q=0.75,p=x", "mechanism 'rappor' field p must be a number, got 'x'"),
+        ],
+    )
+    def test_mechanism_value_that_is_no_number_exits_2(self, capsys, spec, message):
+        code, out, err = run(capsys, "loss", "--mechanism", spec, "--n", "1", "--s", "0.5")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "argv",

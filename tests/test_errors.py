@@ -1,4 +1,6 @@
-"""The argument checkers in bisymrr.errors: one parametrized table per domain.
+"""The argument checkers in bisymrr.errors, and the distribution checker that
+lives with the array checks in bisymrr.estimator: one parametrized table per
+domain.
 
 Each table feeds NaN, both infinities, -1, 2.5 and the domain's boundary
 values; ``None`` in the expected column means the value is accepted and
@@ -17,13 +19,13 @@ from bisymrr.errors import (
     WidthCapError,
     check_budget,
     check_count,
-    check_distribution,
     check_finite,
     check_invertible,
     check_probability,
     check_squared_mass,
     check_width,
 )
+from bisymrr.estimator import check_distribution
 
 NAN = float("nan")
 INF = float("inf")

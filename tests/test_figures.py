@@ -8,10 +8,8 @@ import pytest
 from bisymrr import Mechanism, RandomSeed, WidthCapError, figures
 from bisymrr.cli import main
 from bisymrr.estimator import efficiency_loss, loss, trace_constant
-from bisymrr.errors import CELL_CAP
+from bisymrr.errors import CELL_CAP, FIGURE_1A_CAP
 from bisymrr.figures import (
-    FIGURE_1A_CAP,
-    FIGURE_DEFAULTS,
     FIGURES,
     ExperimentConfig,
     _cell_labels,
@@ -23,6 +21,7 @@ from bisymrr.figures import (
     figure_2b,
     sample_flat_dirichlet,
 )
+from bisymrr.parser import FIGURE_DEFAULTS
 from figure_oracles import figure_1a_per_trial, format_rows_per_cell
 
 

@@ -19,7 +19,7 @@ from bisymrr import (
     write_matrix,
 )
 from bisymrr.corpus_io import _format_value, write_header, write_table
-from bisymrr.randomizer import Mechanism
+from bisymrr.surveys import Mechanism
 from corpus_oracles import read_corpus_lines, write_corpus_rows
 from figure_oracles import format_rows_per_cell
 

@@ -147,6 +147,9 @@ class TestParseMechanism:
             ("rappor:0.5", "mechanism 'rappor' takes 2 parameter(s) (f, q), got 1"),
             ("direct:", "mechanism 'direct' takes 1 parameter(s) (a), got 0"),
             ("unrelated", "mechanism 'unrelated' takes 1 parameter(s) (p), got 0"),
+            ("rappor:0.5,x", "mechanism 'rappor' field q must be a number, got 'x'"),
+            ("rappor:f=0.5,q=", "mechanism 'rappor' field q must be a number, got ''"),
+            ("warner:0.7,zz", "mechanism 'warner' takes 1 parameter(s) (p), got 2"),
         ],
     )
     def test_error_names_mechanism_and_fields(self, text, message):
