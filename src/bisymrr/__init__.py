@@ -25,9 +25,9 @@ __version__ = "0.1.0"
 _MODULE_OF = {
     name: module
     for module, names in {
-        "channel": "BisymmetricChannel apply_kernel distinct_entries entry_at "
-        "inverse_entry_at inverse_parameter materialize",
-        "corpus_io": "format_float read_corpus read_matrix read_vector write_corpus write_matrix",
+        "channel": "apply_kernel distinct_entries entry_at inverse_entry_at "
+        "inverse_parameter materialize",
+        "corpus_io": "format_float read_corpus read_vector write_corpus write_matrix",
         "errors": "DENSE_CAP BisymrrError CorpusFormatError DegenerateDistributionError "
         "InfiniteDisclosureError SingularChannelError WidthCapError",
         "estimator": "Histogram LossReport cov_trace_closed_form efficiency_loss estimate "
@@ -35,8 +35,8 @@ _MODULE_OF = {
         "project_to_simplex trace_constant",
         "figures": "FIGURES ExperimentConfig build_figure sample_flat_dirichlet",
         "parser": "FIGURE_DEFAULTS",
-        "privacy": "PrivacyBudget PrivacyReport a_for_epsilon c_at_alpha epsilon_of "
-        "likelihood_ratio loss_at_alpha report_for_a report_for_epsilon",
+        "privacy": "PrivacyReport a_for_epsilon c_at_alpha epsilon_of likelihood_ratio "
+        "report_for_a",
         "randomizer": "RandomSeed ResponseCorpus randomize randomize_corpus",
         "surveys": "Mechanism MechanismComparison compare effective_a parse_mechanism "
         "unrelated_c warner_c",

@@ -16,17 +16,16 @@ Index convention: bit i of a record carries index weight 2**i (the record
 (1, 0, 1) is cell 5).  Entries depend only on Hamming distance, so this choice
 only fixes the labelling of cells, not any numeric value.
 
-The module-level functions accept any real kernel parameter, not just
-probabilities: the inverse parameter ``a / (2a - 1)`` lies outside [0, 1] and
-its "matrix" is not a channel, but the same recursion produces it.  The
-:class:`BisymmetricChannel` dataclass is the validated probability-channel
-view for callers that want the invariants enforced.
+These functions accept any real kernel parameter, not just probabilities: the
+inverse parameter ``a / (2a - 1)`` lies outside [0, 1] and its "matrix" is
+not a channel, but the same recursion produces it.  Callers that need a
+probability channel check ``a`` first, as the ``matrix`` command does with
+:func:`~bisymrr.errors.check_probability`.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from .errors import (
     check_count,
     check_finite,
     check_invertible,
-    check_probability,
 )
 
 # Below this distance from 1/2 the inverse parameter a / (2a - 1) is so large
@@ -144,42 +142,3 @@ def distinct_entries(a: float, n: int) -> np.ndarray:
     """
     n = check_count(n, "bit width")
     return np.array([a ** (n - d) * (1.0 - a) ** d for d in range(n + 1)])
-
-
-@dataclass(frozen=True)
-class BisymmetricChannel:
-    """A validated probability channel: truth probability ``a``, width ``n``.
-
-    Parameters outside [0, 1] (such as inverse parameters) are deliberately
-    rejected here; use the module-level functions for raw kernel algebra.
-    """
-
-    a: float
-    n: int
-
-    def __post_init__(self):
-        check_probability(self.a, "truth probability")
-        object.__setattr__(self, "n", check_count(self.n, "bit width"))
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n
-
-    @property
-    def invertible(self) -> bool:
-        return self.a != 0.5
-
-    def materialize(self) -> np.ndarray:
-        return materialize(self.a, self.n)
-
-    def entry(self, r: int, x: int) -> float:
-        return entry_at(self.a, self.n, r, x)
-
-    def inverse_parameter(self) -> float:
-        return inverse_parameter(self.a)
-
-    def inverse_entry(self, x: int, r: int) -> float:
-        return inverse_entry_at(self.a, self.n, x, r)
-
-    def distinct_entries(self) -> np.ndarray:
-        return distinct_entries(self.a, self.n)

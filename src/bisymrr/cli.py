@@ -177,9 +177,14 @@ def cmd_figures(args) -> int:
             raise ValueError(f"figure {args.which} reads no setting {key}")
     if args.pi is not None:
         text = args.pi.strip()
-        settings["pi"] = (
-            text if text == FLAT_DIRICHLET else [float(t) for t in text.replace(",", " ").split()]
-        )
+        try:
+            settings["pi"] = (
+                text if text == FLAT_DIRICHLET else [float(t) for t in text.replace(",", " ").split()]
+            )
+        except ValueError:
+            raise ValueError(
+                f"--pi must be comma-separated numbers or {FLAT_DIRICHLET!r}, got {args.pi!r}"
+            ) from None
     cfg = ExperimentConfig.from_mapping({**reads, **settings})
     columns, rows = build_figure(args.which, cfg)
     header = {"figure": args.which}

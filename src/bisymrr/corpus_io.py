@@ -279,28 +279,6 @@ def write_table(out, rows: Iterable[Sequence], columns: Sequence[str] | None = N
         out.write(template * len(block) % tuple(cells))
 
 
-def read_matrix(f) -> np.ndarray:
-    """Parse a matrix written by :func:`write_matrix`."""
-    rows: list[list[float]] = []
-    with _reading(f) as src:
-        for line_no, raw in enumerate(src.read().splitlines(), start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                rows.append([float(part) for part in text.split(",")])
-            except ValueError as exc:
-                raise CorpusFormatError(f"bad number: {exc}", line=line_no) from exc
-            if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
-                raise CorpusFormatError(
-                    f"row has {len(rows[-1])} fields, expected {len(rows[0])}",
-                    line=line_no,
-                )
-    if not rows:
-        raise CorpusFormatError("no data rows found")
-    return np.array(rows, dtype=np.float64)
-
-
 def read_vector(f) -> np.ndarray:
     """Parse a flat list of numbers (commas and/or whitespace, '#' comments)."""
     with _reading(f) as src:
@@ -316,16 +294,3 @@ def read_vector(f) -> np.ndarray:
     if not values:
         raise CorpusFormatError("no numbers found")
     return np.array(values, dtype=np.float64)
-
-
-__all__ = [
-    "format_float",
-    "mechanism_text",
-    "write_header",
-    "write_corpus",
-    "read_corpus",
-    "write_matrix",
-    "write_table",
-    "read_matrix",
-    "read_vector",
-]

@@ -48,7 +48,7 @@ class InfiniteDisclosureError(BisymrrError):
 
 
 class CorpusFormatError(BisymrrError):
-    """A corpus or matrix file failed to parse.
+    """A corpus, vector or config file failed to parse.
 
     Carries the 1-based line number when one is known.
     """

@@ -141,6 +141,8 @@ def estimate(h: Histogram | np.ndarray, a: float) -> np.ndarray:
     histogram per Monte-Carlo trial: every row must pass the
     :class:`Histogram` checks, is divided by its own m and gets the same
     estimate, bit for bit, as it would alone, and an all-zero row raises.
+    A cell past the float range (a so near 1/2 that |a / (2a - 1)|^k
+    overflows) raises OverflowError rather than come back as inf or NaN.
     """
     check_probability(a, "a")
     counts = h.counts if isinstance(h, Histogram) else _check_counts(h, (1, 2))
@@ -148,7 +150,11 @@ def estimate(h: Histogram | np.ndarray, a: float) -> np.ndarray:
     if (m == 0).any():
         raise ValueError("empty corpus: cannot estimate from zero records")
     k = counts.shape[-1].bit_length() - 1
-    return _inverse_kernel_pass(counts / m, a, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = _inverse_kernel_pass(counts / m, a, k)
+    if not np.isfinite(result).all():
+        raise OverflowError(f"the estimate at a={a} over {k} bits exceeds the float range")
+    return result
 
 
 def estimate_variance(q: np.ndarray, pi: np.ndarray, a: float, m: int) -> np.ndarray:

@@ -84,7 +84,10 @@ class ExperimentConfig:
         for name in ("n", "m", "trials", "k"):
             object.__setattr__(self, name, check_count(getattr(self, name), name, 1))
         if not isinstance(self.pi, str):
-            arr = np.asarray(self.pi, dtype=np.float64).reshape(-1)
+            try:
+                arr = np.asarray(self.pi, dtype=np.float64).reshape(-1)
+            except (TypeError, ValueError):
+                raise ValueError(f"pi must be numbers or {FLAT_DIRICHLET!r}, got {self.pi!r}") from None
             if arr.size != 1 << self.n:
                 raise ValueError(
                     f"pi has {arr.size} cells, width {self.n} needs {1 << self.n}"
@@ -103,7 +106,7 @@ class ExperimentConfig:
         unknown = set(known) - {"n", "m", "trials", "k", "pi", "mechanism", "seed", "stream"}
         if unknown:
             raise ValueError(f"unknown experiment setting {min(unknown)!r}")
-        if isinstance(known.get("mechanism"), str):
+        if "mechanism" in known and not isinstance(known["mechanism"], Mechanism):
             known["mechanism"] = parse_mechanism(known["mechanism"])
         seed = RandomSeed(known.pop("seed", 0), known.pop("stream", 0))
         return cls(**known, seed=seed)

@@ -73,24 +73,6 @@ def c_at_alpha(eps: float, k: int, n: int) -> float:
     return base ** n
 
 
-def loss_at_alpha(eps: float, k: int, n: int, s: float) -> float:
-    """Sample-size inflation floor imposed by the budget:
-    (c_at_alpha - s) / (1 - s)."""
-    return efficiency_loss(s, c_at_alpha(eps, k, n))
-
-
-@dataclass(frozen=True)
-class PrivacyBudget:
-    """Budget eps for inputs differing in at most k bits."""
-
-    epsilon: float
-    k: int
-
-    def __post_init__(self):
-        check_budget(self.epsilon)
-        object.__setattr__(self, "k", check_count(self.k, "k", 1))
-
-
 @dataclass(frozen=True)
 class PrivacyReport:
     """Both directions of the budget conversion plus the cost it implies, for
@@ -126,8 +108,3 @@ def report_for_a(a: float, k: int, n: int, s: float) -> PrivacyReport:
         c_at_alpha=c,
         loss_at_alpha=efficiency_loss(s, c),
     )
-
-
-def report_for_epsilon(eps: float, k: int, n: int, s: float) -> PrivacyReport:
-    """Privacy report starting from the budget."""
-    return report_for_a(a_for_epsilon(eps, k), k, n, s)

@@ -143,11 +143,3 @@ def randomize_corpus(c: ResponseCorpus, a: float, seed: RandomSeed) -> ResponseC
     u = seed.generator().random((c.m, c.width))
     flips = (u >= a).astype(np.uint8)
     return ResponseCorpus(c.bits ^ flips)
-
-
-__all__ = [
-    "RandomSeed",
-    "ResponseCorpus",
-    "randomize",
-    "randomize_corpus",
-]

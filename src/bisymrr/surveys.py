@@ -101,8 +101,10 @@ def parse_mechanism(text: str) -> Mechanism:
     ``name:key=value,...`` for a mechanism of :data:`_MECHANISMS`;
     :func:`~bisymrr.corpus_io.mechanism_text` writes this form, and every
     value that is no number is refused with the mechanism and field it was
-    given for.
+    given for; anything but a string is refused with the forms it may take.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"mechanism must be a spec, one of {mechanism_forms()}, got {text!r}")
     name, _, rest = text.partition(":")
     name = name.strip().lower()
     fields, _, extra = _entry(name)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import bisymrr
 from bisymrr import (
     DENSE_CAP,
-    BisymmetricChannel,
     ExperimentConfig,
     ResponseCorpus,
     SingularChannelError,
@@ -330,23 +329,3 @@ class TestDistinctEntries:
         gaps = np.abs(materialize(a, n)[..., None] - values).min(axis=-1)
         assert gaps.max() <= 1e-12
 
-
-class TestChannelType:
-    def test_validates_probability_range(self):
-        with pytest.raises(ValueError):
-            BisymmetricChannel(1.5, 2)
-        with pytest.raises(ValueError):
-            BisymmetricChannel(0.75, -1)
-
-    def test_methods_delegate(self):
-        ch = BisymmetricChannel(0.75, 2)
-        assert ch.dim == 4
-        assert ch.invertible
-        assert ch.entry(1, 2) == entry_at(0.75, 2, 1, 2)
-        assert np.array_equal(ch.materialize(), materialize(0.75, 2))
-        assert ch.inverse_parameter() == 1.5
-        assert ch.inverse_entry(0, 1) == inverse_entry_at(0.75, 2, 0, 1)
-        assert np.array_equal(ch.distinct_entries(), distinct_entries(0.75, 2))
-
-    def test_uniform_channel_not_invertible(self):
-        assert not BisymmetricChannel(0.5, 1).invertible

@@ -13,7 +13,6 @@ from bisymrr import (
     ResponseCorpus,
     materialize,
     parse_mechanism,
-    read_matrix,
     write_corpus,
 )
 from bisymrr import corpus_io, estimator, surveys
@@ -85,7 +84,7 @@ class TestMatrix:
         path = tmp_path / "mat.csv"
         code, _, _ = run(capsys, "matrix", "0.62", "3", "--out", str(path))
         assert code == 0
-        assert (read_matrix(path) == materialize(0.62, 3)).all()
+        assert (np.loadtxt(path, delimiter=",", ndmin=2) == materialize(0.62, 3)).all()
 
     def test_singular_inverse_exits_3(self, capsys):
         code, _, err = run(capsys, "matrix", "0.5", "2", "--inverse")
@@ -184,6 +183,15 @@ class TestEstimate:
         path = tmp_path / "noisy.csv"
         path.write_text(f"{header}\n0,1\n1,1\n0,0\n")
         assert run(capsys, "estimate", str(path)) == (4, "", f"error: line 1: {message}\n")
+
+    def test_overflowing_estimate_exits_2(self, tmp_path, capsys):
+        # |a / (2a - 1)|^21 is past the float range: no inf or NaN cell is written
+        path = tmp_path / "noisy.csv"
+        path.write_text(f"# width=21 m=1 a={float(np.nextafter(0.5, 1))!r}\n" + ",".join("0" * 21) + "\n")
+        with pytest.warns(RuntimeWarning, match="statistically useless"):
+            code, out, err = run(capsys, "estimate", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: numerical overflow: the estimate at a=")
 
     def test_project_gives_distribution(self, tmp_path, capsys):
         path = truthful_corpus_file(tmp_path, [0, 0, 0, 1], 3, 2)
@@ -407,6 +415,30 @@ class TestFigures:
         code, _, err = run(capsys, "figures", "1b", "--config", str(cfg))
         assert code == 4
         assert err.startswith("error: bad config file: expected a JSON object")
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"mechanism": 5}, f"mechanism must be a spec, one of {surveys.mechanism_forms()}, got 5"),
+            (
+                {"mechanism": ["unrelated", 0.5]},
+                f"mechanism must be a spec, one of {surveys.mechanism_forms()}, "
+                "got ['unrelated', 0.5]",
+            ),
+            ({"pi": {"a": 1}}, "pi must be numbers or 'dirichlet-flat', got {'a': 1}"),
+        ],
+        ids=["mechanism-int", "mechanism-list", "pi-object"],
+    )
+    def test_config_value_of_the_wrong_type_exits_2(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run(capsys, "figures", "1a", "--config", str(cfg)) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("pi", ["abc", "0.5,x,0.25,0.25"])
+    def test_pi_flag_that_is_no_numbers_names_the_flag(self, capsys, pi):
+        assert run(capsys, "figures", "1a", "--pi", pi) == (
+            2, "", f"error: --pi must be comma-separated numbers or 'dirichlet-flat', got {pi!r}\n"
+        )
 
 
 PROBABILITY = st.floats(0.0, 1.0, allow_nan=False)

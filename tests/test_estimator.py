@@ -115,6 +115,15 @@ class TestEstimate:
         with pytest.raises(ValueError, match="a must lie in"):
             estimate(Histogram(np.array([5, 5])), a)
 
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_overflow_raises_rather_than_returning_non_finite_cells(self, rows):
+        # one record at k = 21 scales its cell by |ai|^21 with ai ~ 4.5e15: past the float range
+        counts = np.zeros((rows, 1 << 21), dtype=np.int64)
+        counts[:, 0] = 1
+        with pytest.warns(RuntimeWarning, match="statistically useless"):
+            with pytest.raises(OverflowError, match="over 21 bits exceeds the float range"):
+                estimate(counts if rows > 1 else Histogram(counts[0]), np.nextafter(0.5, 1))
+
     @given(
         counts=st.lists(st.integers(0, 10_000), min_size=2, max_size=64).filter(
             lambda c: sum(c) > 0 and (len(c) & (len(c) - 1)) == 0

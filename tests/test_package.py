@@ -1,9 +1,11 @@
-"""The package's lazy namespace, its numpy-free start, and the names the bench
-wraps to trace each layer."""
+"""The package's lazy namespace, its numpy-free start, the names the bench
+wraps to trace each layer, and what earns a name its place in the namespace."""
 
+import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -75,6 +77,44 @@ class TestLazyNamespace:
 
     def test_figure_defaults_name_every_figure(self):
         assert parser.FIGURE_DEFAULTS.keys() == figures.FIGURES.keys()
+
+
+# Public names no command uses, kept because each is a closed form or contract
+# of the paper: single entries of the channel and its inverse, the distinct
+# entry values, the budget of a response, the cost at a budget, the covariance
+# trace and its per-cell variances, and per-record randomization.
+PAPER_CLAIMS = {
+    "entry_at", "inverse_entry_at", "distinct_entries", "epsilon_of", "c_at_alpha",
+    "cov_trace_closed_form", "estimate_variance", "randomize",
+}
+
+
+def names_used(source: str) -> set[str]:
+    """Every name ``source`` reads, looks up as an attribute or imports."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_public_name_is_used_or_a_paper_claim():
+    """A public name must be used by the package's own code (its listing in
+    ``__init__`` aside) or by the README's python example, or be one of
+    :data:`PAPER_CLAIMS`, so a wrapper only tests call cannot come back
+    unnoticed."""
+    used = set().union(
+        *(names_used(path.read_text()) for path in (ROOT / "src" / "bisymrr").glob("*.py")
+          if path.name != "__init__.py")
+    )
+    (example,) = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    used |= names_used(example)
+    assert PAPER_CLAIMS <= set(bisymrr.__all__)
+    assert set(bisymrr.__all__) - used - PAPER_CLAIMS == set()
 
 
 def test_every_name_the_bench_wraps_exists():

@@ -7,15 +7,13 @@ from hypothesis import strategies as st
 
 from bisymrr import (
     InfiniteDisclosureError,
-    PrivacyBudget,
     SingularChannelError,
     a_for_epsilon,
     c_at_alpha,
+    efficiency_loss,
     epsilon_of,
     likelihood_ratio,
-    loss_at_alpha,
     report_for_a,
-    report_for_epsilon,
     trace_constant,
     unrelated_c,
     warner_c,
@@ -131,12 +129,14 @@ class TestCAtAlpha:
 
     def test_nan_s_rejected(self):
         with pytest.raises(ValueError, match="squared probabilities"):
-            loss_at_alpha(1.0, 1, 2, float("nan"))
+            efficiency_loss(float("nan"), c_at_alpha(1.0, 1, 2))
 
     def test_loss_at_alpha_composes(self):
         eps, k, n, s = 1.0, 2, 3, 0.2
         c = c_at_alpha(eps, k, n)
-        assert loss_at_alpha(eps, k, n, s) == pytest.approx((c - s) / (1 - s), rel=1e-12)
+        assert efficiency_loss(s, c) == pytest.approx((c - s) / (1 - s), rel=1e-12)
+        rep = report_for_a(a_for_epsilon(eps, k), k, n, s)
+        assert rep.loss_at_alpha == pytest.approx(efficiency_loss(s, c), rel=1e-12)
 
 
 class TestEqualBudgetCoincidence:
@@ -169,7 +169,7 @@ class TestReports:
 
     def test_report_roundtrip(self):
         for eps in (0.3, 1.0, 2.5):
-            rep = report_for_epsilon(eps, k=2, n=3, s=0.125)
+            rep = report_for_a(a_for_epsilon(eps, 2), k=2, n=3, s=0.125)
             assert rep.epsilon_total == pytest.approx(eps, abs=1e-12)
             back = report_for_a(rep.a, k=2, n=3, s=0.125)
             assert back.c_at_alpha == pytest.approx(rep.c_at_alpha, rel=1e-12)
@@ -180,9 +180,8 @@ class TestReports:
             report_for_a(a, k=1, n=1, s=0.5)
 
     def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            PrivacyBudget(-0.5, 1)
-        with pytest.raises(ValueError):
-            PrivacyBudget(1.0, 0)
-        b = PrivacyBudget(1.5, 3)
-        assert b.epsilon == 1.5 and b.k == 3
+        with pytest.raises(ValueError, match="budget must be positive"):
+            a_for_epsilon(-0.5, 1)
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            a_for_epsilon(1.0, 0)
+        assert epsilon_of(a_for_epsilon(1.5, 3), 3) == pytest.approx(1.5, rel=1e-12)
