@@ -38,8 +38,7 @@ _MODULE_OF = {
         "privacy": "PrivacyReport a_for_epsilon c_at_alpha epsilon_of likelihood_ratio "
         "report_for_a",
         "randomizer": "RandomSeed ResponseCorpus randomize randomize_corpus",
-        "surveys": "Mechanism MechanismComparison compare effective_a parse_mechanism "
-        "unrelated_c warner_c",
+        "surveys": "Mechanism effective_a parse_mechanism unrelated_c warner_c",
     }.items()
     for name in names.split()
 }

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import warnings
 
 from .channel import inverse_parameter, materialize
 from .corpus_io import (
@@ -207,7 +208,12 @@ COMMANDS = {
 
 
 def run(args) -> int:
-    """Run the command :func:`~bisymrr.parser.main` parsed; returns the exit code."""
+    """Run the command :func:`~bisymrr.parser.main` parsed; returns the exit code.
+
+    A library warning prints as one ``warning:`` line on stderr, not with the
+    source line that raised it."""
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         code = COMMANDS[args.command](args)
         # surface a closed-pipe stdout here, not in the shutdown flush where
@@ -223,6 +229,8 @@ def run(args) -> int:
         detail = f"numerical overflow: {exc.args[-1]}" if isinstance(exc, OverflowError) else exc
         print(f"error: {detail}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -17,13 +17,14 @@ parse(emit(x)) recovers every float bit-exactly.
 Every data row of a corpus is ``2·width`` characters, so both directions run
 as one numpy pass over a byte buffer: the writer adds the bits to a row
 template of ``0,`` pairs ending in ``0`` and a newline, and the reader decodes
-a body laid out exactly that way with ``np.frombuffer``.  Any other body (CRLF
-endings, blank lines, spaces around bits, or a real malformation) goes to a
-line-by-line parser, which accepts the lenient forms and reports each error
-with its line number; both paths give the same corpus wherever both apply.
-That parser sizes its array by the body it was given, never by the header
-alone, so a header claiming a huge ``m`` or ``width`` is refused with a line
-number rather than allocated.
+a body laid out exactly that way with ``np.frombuffer``.  That decoder is the
+only code that turns row text into bits.  A body it refuses (CRLF endings,
+blank lines, spaces around bits, or a real malformation) is laid out again as
+the writer lays it out, blank lines dropped and fields stripped, and decoded
+by the same pass; only if that fails too is the body walked line by line, to
+name the first error and its line number.  The decoder checks the body's
+length against the header before it allocates, so a header claiming a huge
+``m`` or ``width`` is refused rather than allocated.
 
 This module is the only one that turns values into text.  Every ``#
 key=value`` line (corpora, estimates, figure datasets) comes from
@@ -119,7 +120,12 @@ def read_corpus(f) -> tuple[ResponseCorpus, dict[str, str]]:
             return ResponseCorpus(bits), meta
     lines = text.splitlines()
     meta, width, m = _parse_header(lines[0] if lines else "")
-    return ResponseCorpus(_parse_rows(lines, width, m)), meta
+    # the same rows as the writer lays them out: blank lines dropped, fields stripped
+    rows = (",".join(map(str.strip, line.split(","))) for line in lines[1:] if line.strip())
+    bits = _decode_rows("".join(row + "\n" for row in rows), width, m)
+    if bits is None:
+        raise _row_error(lines, width, m)
+    return ResponseCorpus(bits), meta
 
 
 def _parse_header(line: str) -> tuple[dict[str, str], int, int]:
@@ -175,52 +181,28 @@ def _decode_rows(body: str, width: int, m: int) -> np.ndarray | None:
     return bits.astype(np.uint8)
 
 
-def _parse_rows(lines: list[str], width: int, m: int) -> np.ndarray:
-    """Line-by-line parse of the data rows after the header.
-
-    Accepts what :func:`_decode_rows` refuses but still reads as a corpus
-    (CRLF endings, blank lines, spaces around bits) and names the line of
-    every malformation.
-    """
-    # The header alone sizes nothing: there is at most one row per line, and
-    # a row that passes the field count has width <= len(line) + 1.
-    longest = max(map(len, lines[1:]), default=0)
-    rows = np.zeros(
-        (min(m, len(lines) - 1), width if m == 0 else min(width, longest + 1)),
-        dtype=np.uint8,
-    )
+def _row_error(lines: list[str], width: int, m: int) -> CorpusFormatError:
+    """The first malformation among the data rows after the header, with its
+    line number; called only on a body that :func:`_decode_rows` refused even
+    in the writer's layout, so there always is one."""
     seen = 0
     for line_no, raw in enumerate(lines[1:], start=2):
-        text = raw.strip()
-        if not text:
+        if not (text := raw.strip()):
             continue
-        if seen >= m:
-            raise CorpusFormatError(
-                f"more data rows than the declared m={m}", line=line_no
-            )
+        if seen == m:
+            return CorpusFormatError(f"more data rows than the declared m={m}", line=line_no)
         parts = text.split(",")
         if len(parts) != width:
-            raise CorpusFormatError(
-                f"expected {width} comma-separated bits, got {len(parts)}",
-                line=line_no,
+            return CorpusFormatError(
+                f"expected {width} comma-separated bits, got {len(parts)}", line=line_no
             )
         for j, part in enumerate(parts):
-            bit = part.strip()
-            if bit == "0":
-                continue
-            if bit == "1":
-                rows[seen, j] = 1
-            else:
-                raise CorpusFormatError(
-                    f"field {j} is {part!r}, expected 0 or 1", line=line_no
-                )
+            if part.strip() not in ("0", "1"):
+                return CorpusFormatError(f"field {j} is {part!r}, expected 0 or 1", line=line_no)
         seen += 1
-    if seen != m:
-        raise CorpusFormatError(
-            f"header declared m={m} but found {seen} data rows",
-            line=len(lines) + 1,
-        )
-    return rows
+    return CorpusFormatError(
+        f"header declared m={m} but found {seen} data rows", line=len(lines) + 1
+    )
 
 
 def write_matrix(f, matrix: np.ndarray) -> None:

@@ -80,14 +80,6 @@ class Histogram:
     def __post_init__(self):
         object.__setattr__(self, "counts", _check_counts(self.counts, (1,)))
 
-    @property
-    def k(self) -> int:
-        return int(self.counts.size).bit_length() - 1
-
-    @property
-    def m(self) -> int:
-        return int(self.counts.sum())
-
 
 def marginal_histogram(corpus: ResponseCorpus, positions: Sequence[int]) -> Histogram:
     """Count k-bit patterns at the given strictly increasing bit positions.

@@ -40,7 +40,7 @@ from .errors import CELL_CAP, FIGURE_1A_CAP, WidthCapError, check_count
 from .estimator import check_distribution, estimate, flat_average_loss, loss
 from .privacy import a_for_epsilon
 from .randomizer import RandomSeed
-from .surveys import Mechanism, compare, effective_a, parse_mechanism, unrelated_c, warner_c
+from .surveys import Mechanism, effective_a, parse_mechanism, unrelated_c, warner_c
 
 FLAT_DIRICHLET = "dirichlet-flat"
 
@@ -206,10 +206,14 @@ def figure_1c(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
 
 
 def figure_2a(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
-    """Both survey designs' cost constants over a common dial grid.
+    """Both survey designs' cost constants over a common dial grid, and their
+    ratio.
 
     The grid steps by 0.005 over (0, 0.8) and skips p = 0.5, where the
-    coin-flip design is singular.
+    coin-flip design is singular.  The ratio crosses 1 at p = 2/3: below it
+    the unrelated-question design looks cheaper, above it the coin-flip design
+    does.  Raising n just raises the ratio to the n-th power, sharpening
+    whichever preference the dial already picked.
     """
     columns = ["p", "c_unrelated", "c_warner", "ratio"]
     rows: list[list] = []
@@ -217,8 +221,8 @@ def figure_2a(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
         p = i * 0.005
         if p == 0.5:
             continue
-        both = compare(p, cfg.n)
-        rows.append([p, both.c_unrelated, both.c_warner, both.ratio])
+        c_u, c_w = unrelated_c(p, cfg.n), warner_c(p, cfg.n)
+        rows.append([p, c_u, c_w, c_u / c_w])
     return columns, rows
 
 

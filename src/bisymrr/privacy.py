@@ -40,16 +40,15 @@ def epsilon_of(a: float, k: int) -> float:
     return check_count(k, "k", 1) * math.log(likelihood_ratio(a))
 
 
-def a_for_epsilon(eps: float, k: int, lying: bool = False) -> float:
+def a_for_epsilon(eps: float, k: int) -> float:
     """Channel parameter realizing exactly budget eps over k differing bits.
 
-    Returns the truthful branch a = e^(eps/k) / (1 + e^(eps/k)) > 1/2; both
-    branches spend the same budget, and ``lying=True`` selects the mirror
-    image 1 - a (respondents inverting more often than not).
+    Returns the truthful branch a = e^(eps/k) / (1 + e^(eps/k)) > 1/2; its
+    mirror image 1 - a (respondents inverting more often than not) spends the
+    same budget.
     """
     t = math.exp(check_budget(eps) / check_count(k, "k", 1))
-    a = t / (1.0 + t)
-    return 1.0 - a if lying else a
+    return t / (1.0 + t)
 
 
 def c_at_alpha(eps: float, k: int, n: int) -> float:

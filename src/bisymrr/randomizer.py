@@ -103,9 +103,6 @@ class ResponseCorpus:
     def width(self) -> int:
         return self.bits.shape[1]
 
-    def __len__(self) -> int:
-        return self.m
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ResponseCorpus):
             return NotImplemented

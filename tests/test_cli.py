@@ -729,6 +729,61 @@ class TestBrokenPipe:
         assert "Traceback" not in proc.stderr
 
 
+# Layouts the writer never produces but the reader accepts, each applied to a
+# whole corpus file (header lines carry no commas).  Text mode already reads a
+# CRLF file on disk as LF; the other two reach the reader's normalising step.
+LAYOUTS = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "blank-lines": lambda text: text.replace("\n", "\n\n"),
+    "spaces": lambda text: text.replace(",", " ,\t").replace("\n", " \n  "),
+}
+
+
+class TestLenientInput:
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_randomize_then_estimate_match_the_writers_layout(self, tmp_path, capsys, layout):
+        def relaid(path):
+            copy = tmp_path / f"{layout}-{path.name}"
+            copy.write_bytes(LAYOUTS[layout](path.read_text()).encode())
+            return copy
+
+        def same_stdout(command, path, *flags):
+            original = run(capsys, command, str(path), *flags)
+            assert original[0] == 0
+            assert run(capsys, command, str(relaid(path)), *flags) == original
+            return original[1]
+
+        plain, noisy = tmp_path / "plain.csv", tmp_path / "noisy.csv"
+        write_corpus(plain, ResponseCorpus(np.random.default_rng(8).integers(0, 2, (500, 4))))
+        noisy.write_text(same_stdout("randomize", plain, "--a", "0.75", "--seed", "3"))
+        same_stdout("estimate", noisy)
+        same_stdout("estimate", noisy, "--project")
+
+
+class TestWarnings:
+    def test_near_singular_estimate_warns_in_one_line(self, tmp_path):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        path = tmp_path / "near.csv"
+        path.write_text("# width=2 m=3 a=0.5004\n0,1\n1,1\n0,0\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "bisymrr", "estimate", str(path)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("# width=2 m=3 a=0.50039999999999996 bits=0,1 projected=0\n")
+        assert proc.stderr == (
+            "warning: a = 0.5004 is within 0.001 of 1/2; the inverse exists but is "
+            "astronomically ill-conditioned and estimates from it will be statistically useless\n"
+        )
+
+
 # Output of the non-figure commands, byte for byte; figure datasets are pinned
 # by the committed files under out/.
 PINNED = [

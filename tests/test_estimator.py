@@ -37,7 +37,7 @@ class TestHistogram:
     def test_hand_counted_two_bits(self):
         h = marginal_histogram(CORPUS, [0, 1])
         assert np.array_equal(h.counts, [0, 0, 2, 1])
-        assert h.m == 3 and h.k == 2
+        assert h.counts.sum() == 3 and h.counts.size == 1 << 2
 
     def test_single_position(self):
         assert np.array_equal(marginal_histogram(CORPUS, [1]).counts, [0, 3])

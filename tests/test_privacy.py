@@ -64,8 +64,9 @@ class TestAForEpsilon:
         assert a_for_epsilon(math.log(3), 1) == pytest.approx(0.75, abs=1e-15)
 
     def test_lying_branch(self):
-        a = a_for_epsilon(math.log(3), 1, lying=True)
+        a = 1.0 - a_for_epsilon(math.log(3), 1)
         assert a == pytest.approx(0.25, abs=1e-15)
+        assert epsilon_of(a, 1) == pytest.approx(math.log(3), abs=1e-15)
 
     @pytest.mark.parametrize("eps", EPS_GRID)
     @pytest.mark.parametrize("k", [1, 2, 5])
@@ -86,7 +87,7 @@ class TestAForEpsilon:
     def test_always_honest_side_unless_asked(self):
         for eps in EPS_GRID:
             assert a_for_epsilon(eps, 2) > 0.5
-            assert a_for_epsilon(eps, 2, lying=True) < 0.5
+            assert 1.0 - a_for_epsilon(eps, 2) < 0.5
 
 
 class TestCAtAlpha:

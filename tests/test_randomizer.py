@@ -186,7 +186,7 @@ class TestCorpus:
 
     def test_shape_properties(self):
         c = ResponseCorpus(np.zeros((3, 2), dtype=np.uint8))
-        assert (c.m, c.width, len(c)) == (3, 2, 3)
+        assert (c.m, c.width) == (3, 2)
 
 
 class TestRandomize:
