@@ -21,9 +21,11 @@ import json
 import os
 import sys
 import warnings
+from itertools import chain
 
 from .channel import inverse_parameter, materialize
 from .corpus_io import (
+    TABLE_BLOCK_CELLS,
     _format_value,
     _writing,
     read_corpus,
@@ -45,7 +47,7 @@ from .estimator import (
 from .figures import FLAT_DIRICHLET, ExperimentConfig, _cell_labels, build_figure
 from .parser import FIGURE_DEFAULTS, main
 from .privacy import a_for_epsilon, report_for_a
-from .randomizer import RandomSeed, randomize_corpus
+from .randomizer import RandomSeed, _blocks, randomize_corpus
 from .surveys import Mechanism, effective_a, parse_mechanism
 
 
@@ -121,9 +123,12 @@ def cmd_estimate(args) -> int:
     with _writing(args.out if args.out else sys.stdout) as out:
         header = dict(width=corpus.width, m=corpus.m, a=a, bits=positions, projected=args.project)
         write_header(out, header)
-        write_table(
-            out, zip(_cell_labels(len(positions)), result.tolist()), ["pattern", "estimate"]
+        # labels and floats are made in the table's blocks of rows, as write_table consumes them
+        blocks = _blocks(result.size, 2, TABLE_BLOCK_CELLS)
+        rows = chain.from_iterable(
+            zip(_cell_labels(len(positions), b), result[b].tolist()) for b in blocks
         )
+        write_table(out, rows, ["pattern", "estimate"])
     return 0
 
 
@@ -211,7 +216,8 @@ def run(args) -> int:
     """Run the command :func:`~bisymrr.parser.main` parsed; returns the exit code.
 
     A library warning prints as one ``warning:`` line on stderr, not with the
-    source line that raised it."""
+    source line that raised it; one raised as an error (``-W error``) ends the
+    command like any other domain error."""
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
@@ -224,7 +230,7 @@ def run(args) -> int:
         # reader went away (e.g. piped into head); silence the shutdown flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (BisymrrError, ValueError, OverflowError, OSError) as exc:
+    except (BisymrrError, ValueError, OverflowError, OSError, Warning) as exc:
         # an errno OverflowError carries (errno, reason): print the reason
         detail = f"numerical overflow: {exc.args[-1]}" if isinstance(exc, OverflowError) else exc
         print(f"error: {detail}", file=sys.stderr)

@@ -14,17 +14,18 @@ randomize command record the channel parameter and seed next to the data they
 produced.  Numbers are always written with 17 significant digits so
 parse(emit(x)) recovers every float bit-exactly.
 
-Every data row of a corpus is ``2·width`` characters, so both directions run
-as one numpy pass over a byte buffer: the writer adds the bits to a row
-template of ``0,`` pairs ending in ``0`` and a newline, and the reader decodes
-a body laid out exactly that way with ``np.frombuffer``.  That decoder is the
+Every data row of a corpus is ``2·width`` bytes, so both directions run as
+numpy passes over blocks of about :data:`~bisymrr.randomizer.BLOCK_CELLS`
+cells: the writer adds each block of bits to a row template of ``0,`` pairs
+ending in ``0`` and a newline, and the reader decodes a body laid out exactly
+that way from the file's bytes straight into the corpus array, so neither
+holds more than one block beside its input and output.  That decoder is the
 only code that turns row text into bits.  A body it refuses (CRLF endings,
-blank lines, spaces around bits, or a real malformation) is laid out again as
-the writer lays it out, blank lines dropped and fields stripped, and decoded
-by the same pass; only if that fails too is the body walked line by line, to
-name the first error and its line number.  The decoder checks the body's
-length against the header before it allocates, so a header claiming a huge
-``m`` or ``width`` is refused rather than allocated.
+blank lines, spaces around bits, or a real malformation) is decoded as text,
+laid out again as the writer lays it out, and decoded by the same pass; only
+if that fails too is it walked line by line, to name the first error and its
+line number.  A header claiming a huge ``m`` or ``width`` is refused before
+anything is allocated, since the body's length must match it.
 
 This module is the only one that turns values into text.  Every ``#
 key=value`` line (corpora, estimates, figure datasets) comes from
@@ -38,14 +39,14 @@ byte as :func:`_format_value` renders each cell.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from itertools import chain, islice
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import CorpusFormatError
-from .randomizer import ResponseCorpus
+from .randomizer import ResponseCorpus, _blocks
 from .surveys import Mechanism, _spec_text
 
 
@@ -54,11 +55,11 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _reading(f):
-    """Accept an open text file or a path; close only what we opened."""
+def _reading(f, mode: str = "r"):
+    """Accept an open file or a path; close only what we opened."""
     if hasattr(f, "read"):
         return nullcontext(f)
-    return open(f, "r", encoding="utf-8")
+    return open(f, mode, encoding=None if "b" in mode else "utf-8")
 
 
 def _writing(f):
@@ -100,29 +101,40 @@ def write_corpus(f, corpus: ResponseCorpus, meta: Mapping[str, object] | None = 
     with _writing(f) as out:
         write_header(out, fields)
         if corpus.m:  # no template for an empty corpus, whatever its width
-            rows = (_row_template(corpus.width) + corpus.bits).astype("<u2", copy=False)
-            out.write(rows.tobytes().decode("ascii"))
+            template = _row_template(corpus.width)
+            for b in _blocks(corpus.m, corpus.width):
+                rows = (template + corpus.bits[b]).astype("<u2", copy=False)
+                out.write(rows.tobytes().decode("ascii"))
 
 
 def read_corpus(f) -> tuple[ResponseCorpus, dict[str, str]]:
     """Parse a corpus file; returns the corpus and the raw header mapping.
 
-    Every malformation is reported with its 1-based line number.
+    A path is read as bytes, an open text file's text is encoded to UTF-8,
+    and both take the same pass; every malformation is reported with its
+    1-based line number.
     """
-    with _reading(f) as src:
-        text = src.read()
-    head, _, body = text.partition("\n")
+    with _reading(f, "rb") as src:
+        data = src.read()
+    if isinstance(data, str):  # an open text file
+        data = data.encode("utf-8")
+    # up to and with its newline, line 1 fails to decode as the whole file would
+    end = data.find(b"\n") + 1 or len(data)
+    head = data[:end].decode("utf-8").removesuffix("\n")
+    body = memoryview(data)[end:]
     first = head.splitlines()
     if len(first) == 1:  # not so when the file is empty or \r, \f, ... split line 1
-        meta, width, m = _parse_header(first[0])
-        bits = _decode_rows(body, width, m)
-        if bits is not None:
-            return ResponseCorpus(bits), meta
+        with suppress(CorpusFormatError):  # raised again below, after any decoding error
+            meta, width, m = _parse_header(first[0])
+            if (bits := _decode_rows(body, width, m)) is not None:
+                return ResponseCorpus(bits), meta
+    text = data.decode("utf-8")
+    del data, body  # hold the text alone, not the file's bytes beside it
     lines = text.splitlines()
     meta, width, m = _parse_header(lines[0] if lines else "")
     # the same rows as the writer lays them out: blank lines dropped, fields stripped
-    rows = (",".join(map(str.strip, line.split(","))) for line in lines[1:] if line.strip())
-    bits = _decode_rows("".join(row + "\n" for row in rows), width, m)
+    rows = (",".join(map(str.strip, line.split(","))) + "\n" for line in lines[1:] if line.strip())
+    bits = _decode_rows("".join(rows).encode("ascii", "replace"), width, m)
     if bits is None:
         raise _row_error(lines, width, m)
     return ResponseCorpus(bits), meta
@@ -163,22 +175,25 @@ def _row_template(width: int) -> np.ndarray:
     return template
 
 
-def _decode_rows(body: str, width: int, m: int) -> np.ndarray | None:
-    """The rows exactly as :func:`write_corpus` lays them out, decoded in one
-    vectorized pass; None for any other body.
+def _decode_rows(body, width: int, m: int) -> np.ndarray | None:
+    """The rows of a byte buffer exactly as :func:`write_corpus` lays them out,
+    decoded a block at a time into one array; None for any other body.
 
     Subtracting the template maps each valid byte pair to 0 or 1 and any wrong
-    digit, separator or line end to a larger value, so one comparison checks
-    them all."""
-    if len(body) != m * 2 * width or not body.isascii():
+    digit, separator, line end or non-ASCII byte to a larger value, so one
+    comparison checks them all."""
+    if len(body) != m * 2 * width:
         return None
     if m == 0:  # before the template, which a header's width alone sizes
         return np.zeros((0, width), dtype=np.uint8)
-    pairs = np.frombuffer(body.encode("ascii"), dtype="<u2").reshape(m, width)
-    bits = pairs - _row_template(width)
-    if (bits > 1).any():
-        return None
-    return bits.astype(np.uint8)
+    pairs = np.frombuffer(body, dtype="<u2").reshape(m, width)
+    template, bits = _row_template(width), np.empty((m, width), dtype=np.uint8)
+    for b in _blocks(m, width):
+        block = pairs[b] - template
+        if block.max() > 1:
+            return None
+        bits[b] = block
+    return bits
 
 
 def _row_error(lines: list[str], width: int, m: int) -> CorpusFormatError:

@@ -37,7 +37,7 @@ from .errors import (
     check_squared_mass,
     check_width,
 )
-from .randomizer import ResponseCorpus
+from .randomizer import ResponseCorpus, _blocks
 
 
 def _check_counts(raw, ndims: tuple[int, ...]) -> np.ndarray:
@@ -88,7 +88,7 @@ def marginal_histogram(corpus: ResponseCorpus, positions: Sequence[int]) -> Hist
     same little-endian convention the channel matrices use for whole records.
     A marginal of more than :data:`~bisymrr.errors.CELL_CAP` cells is refused
     before ``positions`` is read, so a lazy ``range`` over a wide corpus costs
-    nothing.
+    nothing.  Counts are summed over blocks of rows, so no m x k array exists.
     """
     k = len(positions)
     if k > CELL_CAP.bit_length() - 1:
@@ -104,11 +104,12 @@ def marginal_histogram(corpus: ResponseCorpus, positions: Sequence[int]) -> Hist
         raise ValueError(
             f"positions must lie in [0, {corpus.width}), got {pos}"
         )
-    if corpus.m == 0:
-        return Histogram(np.zeros(1 << k, dtype=np.int64))
-    weights = (np.int64(1) << np.arange(k, dtype=np.int64))
-    cells = corpus.bits[:, pos].astype(np.int64) @ weights
-    return Histogram(np.bincount(cells, minlength=1 << k))
+    counts = np.zeros(1 << k, dtype=np.int64)
+    weights = np.int64(1) << np.arange(k, dtype=np.int64)
+    for b in _blocks(corpus.m, corpus.width):
+        cells = corpus.bits[b, pos].astype(np.int64) @ weights
+        counts += np.bincount(cells, minlength=1 << k)
+    return Histogram(counts)
 
 
 def _inverse_kernel_pass(v: np.ndarray, a: float, k: int) -> np.ndarray:

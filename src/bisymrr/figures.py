@@ -118,11 +118,12 @@ def _trial_seed(cfg: ExperimentConfig, trial: int) -> RandomSeed:
     return RandomSeed(cfg.seed.seed, cfg.seed.stream + 1 + trial)
 
 
-def _cell_labels(n: int) -> list[str]:
-    """Bit pattern of each of the 2^n cells, lowest bit first."""
+def _cell_labels(n: int, cells: slice = slice(None)) -> list[str]:
+    """Bit pattern of each of the 2^n cells (or of a slice of them), lowest bit first."""
     if n == 0:
         return [""]
-    digits = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(np.uint8) + ord("0")
+    index = np.arange(*cells.indices(1 << n))
+    digits = (index[:, None] >> np.arange(n) & 1).astype(np.uint8) + ord("0")
     return digits.view(f"S{n}").ravel().astype(str).tolist()
 
 

@@ -24,6 +24,16 @@ import numpy as np
 
 from .errors import check_count, check_probability
 
+# Cells per block of each whole-corpus pass, which holds its input, its output and one block.
+BLOCK_CELLS = 1 << 18
+
+
+def _blocks(n: int, width: int, cells: int | None = None):
+    """Slices cutting ``n`` rows of ``width`` cells into blocks of about
+    ``cells`` cells (:data:`BLOCK_CELLS` by default), at least one row each."""
+    step = max(1, (cells or BLOCK_CELLS) // max(width, 1))
+    return (slice(start, start + step) for start in range(0, n, step))
+
 
 @dataclass(frozen=True)
 class RandomSeed:
@@ -132,11 +142,12 @@ def randomize(
 def randomize_corpus(c: ResponseCorpus, a: float, seed: RandomSeed) -> ResponseCorpus:
     """Randomize every record of a corpus, order preserved.
 
-    One vectorized draw; record j gets exactly the uniforms of its counter
-    block, so the result matches per-record :func:`randomize` calls and is
-    independent of chunking.
+    One generator draws each block of rows' uniforms in turn, so record j gets
+    exactly the uniforms of its counter block: the result matches per-record
+    :func:`randomize` calls and one batched draw, whatever the block size.
     """
     check_probability(a, "a")
-    u = seed.generator().random((c.m, c.width))
-    flips = (u >= a).astype(np.uint8)
-    return ResponseCorpus(c.bits ^ flips)
+    gen, out = seed.generator(), np.empty_like(c.bits)
+    for b in _blocks(c.m, c.width):
+        np.bitwise_xor(c.bits[b], gen.random(out[b].shape) >= a, out=out[b])
+    return ResponseCorpus(out)

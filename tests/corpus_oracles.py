@@ -86,3 +86,13 @@ def read_corpus_lines(f) -> tuple[ResponseCorpus, dict[str, str]]:
             line=len(lines) + 1,
         )
     return ResponseCorpus(rows), meta
+
+
+def on_disk(reader, path):
+    """What a reader makes of a file on disk: the corpus and header, or the
+    error (a decoding error included) with its message and line number."""
+    try:
+        corpus, meta = reader(path)
+    except (CorpusFormatError, UnicodeDecodeError) as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "line", None))
+    return ("ok", corpus.bits.shape, corpus.bits.tobytes(), meta)

@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -780,6 +781,19 @@ class TestWarnings:
         assert proc.stdout.startswith("# width=2 m=3 a=0.50039999999999996 bits=0,1 projected=0\n")
         assert proc.stderr == (
             "warning: a = 0.5004 is within 0.001 of 1/2; the inverse exists but is "
+            "astronomically ill-conditioned and estimates from it will be statistically useless\n"
+        )
+
+
+    def test_warning_raised_as_an_error_exits_2_in_one_line(self, tmp_path, capsys):
+        path = tmp_path / "near.csv"
+        path.write_text("# width=2 m=3 a=0.5004\n0,1\n1,1\n0,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "estimate", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: a = 0.5004 is within 0.001 of 1/2; the inverse exists but is "
             "astronomically ill-conditioned and estimates from it will be statistically useless\n"
         )
 

@@ -19,7 +19,7 @@ from bisymrr import (
 )
 from bisymrr.corpus_io import _format_value, write_header, write_table
 from bisymrr.surveys import Mechanism
-from corpus_oracles import read_corpus_lines, write_corpus_rows
+from corpus_oracles import on_disk, read_corpus_lines, write_corpus_rows
 from figure_oracles import format_rows_per_cell
 
 CORPUS = ResponseCorpus(np.array([[0, 1, 1], [1, 0, 0], [1, 1, 1], [0, 0, 0]], dtype=np.uint8))
@@ -207,6 +207,47 @@ class TestVectorizedCorpusIO:
         else:
             text = text[:i] + char + text[i:]
         assert outcome(read_corpus, text) == outcome(read_corpus_lines, text)
+
+    @given(corpus=corpora(max_m=8, max_width=6), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_file_with_a_byte_mutation_reads_as_a_text_mode_line_parser(
+        self, tmp_path_factory, corpus, data
+    ):
+        # a path is read as bytes, yet must read, and fail, as an open text
+        # file (universal newlines, strict UTF-8) read by the line parser does
+        raw = written(corpus, {"a": 0.75}).encode()
+        op = data.draw(st.sampled_from(["replace", "delete", "insert"]))
+        i = data.draw(st.integers(0, len(raw) - (op != "insert")))
+        piece = data.draw(st.sampled_from(
+            [b"0", b"1", b",", b"\n", b"\r", b"\r\n", b" ", b"\x0c", b"\xff", b"\xc3",
+             b"\xc3\xa9", b"\xc2\x85", b"\xe2\x80\xa8", b"\xed\xa0\x80"]
+        ))
+        raw = raw[:i] + piece * (op != "delete") + raw[i + (op != "insert"):]
+        path = tmp_path_factory.mktemp("mutated") / "c.csv"
+        path.write_bytes(raw)
+        assert on_disk(read_corpus, path) == on_disk(read_corpus_lines, path)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"# width=2 m=1 note=\xc3\n0,1\n",
+            b"# width=2 m=1 note=\xc3\xa9\n0,1\n",
+            b"# width=2 m=1\n0,\xff\n",
+            b"# width=2 m=1\n0,\xc3\xa9\n",
+            b"0,1\n\xff\n",
+            b"# width=2 m=1 m=1\n0,1\n\xc3\n",
+            b"# width=2 m=1\r0,1\n",
+            b"# width=2 m=1\xc2\x850,1\n",
+            b"\xef\xbb\xbf# width=2 m=1\n0,1\n",
+        ],
+        ids=["truncated-char-ends-header", "header-char", "undecodable-row", "non-ascii-row",
+             "no-header-then-undecodable", "bad-header-then-undecodable", "cr-ends-header",
+             "nel-ends-header", "bom"],
+    )
+    def test_file_reads_as_a_text_mode_line_parser(self, tmp_path, raw):
+        path = tmp_path / "c.csv"
+        path.write_bytes(raw)
+        assert on_disk(read_corpus, path) == on_disk(read_corpus_lines, path)
 
     @pytest.mark.parametrize("text", LENIENT, ids=LENIENT_IDS)
     def test_lenient_forms_parse_to_the_same_corpus(self, text):
