@@ -17,7 +17,6 @@ above ``FIGURE_1A_CAP`` or with more than ``CELL_CAP`` cells in its
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import warnings
@@ -26,7 +25,9 @@ from itertools import chain
 from .channel import inverse_parameter, materialize
 from .corpus_io import (
     TABLE_BLOCK_CELLS,
+    _corpus_source,
     _format_value,
+    _write_rows,
     _writing,
     read_corpus,
     read_vector,
@@ -47,7 +48,7 @@ from .estimator import (
 from .figures import FLAT_DIRICHLET, ExperimentConfig, _cell_labels, build_figure
 from .parser import FIGURE_DEFAULTS, main
 from .privacy import a_for_epsilon, report_for_a
-from .randomizer import RandomSeed, _blocks, randomize_corpus
+from .randomizer import RandomSeed, _blocks, _flip, randomize_corpus
 from .surveys import Mechanism, effective_a, parse_mechanism
 
 
@@ -83,14 +84,24 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_randomize(args) -> int:
-    corpus, meta = read_corpus(args.input)
+    """Two passes over the input: the first checks every block, so nothing is
+    written unless all of it is valid; the second decodes, flips and writes
+    each block in turn."""
+    meta, width, m, rows = _corpus_source(args.input)
+    for _ in rows():
+        pass
     spec = _mechanism_from_args(args)
     a = effective_a(spec)
     seed = RandomSeed(args.seed, args.stream)
-    result = randomize_corpus(corpus, a, seed)
+    check_probability(a, "a")
     meta.update(a=a, mechanism=spec, seed=args.seed, stream=args.stream)
+    if args.out and os.path.exists(args.out) and os.path.samefile(args.input, args.out):
+        # opening the output empties the input, so decode it whole first
+        write_corpus(args.out, randomize_corpus(read_corpus(args.input)[0], a, seed), meta)
+        return 0
+    gen = seed.generator()
     with _writing(args.out if args.out else sys.stdout) as out:
-        write_corpus(out, result, meta)
+        _write_rows(out, width, m, meta, (_flip(block, a, gen) for block in rows()))
     return 0
 
 
@@ -117,11 +128,13 @@ def cmd_estimate(args) -> int:
         except ValueError:
             raise ValueError(f"--bits must be comma-separated bit positions, got {args.bits!r}") from None
     hist = marginal_histogram(corpus, positions)
+    width, m = corpus.width, corpus.m
+    del corpus  # the histogram is all the rest reads
     result = estimate(hist, a)
     if args.project:
         result = project_to_simplex(result)
     with _writing(args.out if args.out else sys.stdout) as out:
-        header = dict(width=corpus.width, m=corpus.m, a=a, bits=positions, projected=args.project)
+        header = dict(width=width, m=m, a=a, bits=positions, projected=args.project)
         write_header(out, header)
         # labels and floats are made in the table's blocks of rows, as write_table consumes them
         blocks = _blocks(result.size, 2, TABLE_BLOCK_CELLS)
@@ -161,6 +174,8 @@ def cmd_privacy(args) -> int:
 
 
 def cmd_figures(args) -> int:
+    import json  # here alone, so no other command pays for the import
+
     config = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:

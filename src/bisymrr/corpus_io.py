@@ -17,14 +17,15 @@ parse(emit(x)) recovers every float bit-exactly.
 Every data row of a corpus is ``2·width`` bytes, so both directions run as
 numpy passes over blocks of about :data:`~bisymrr.randomizer.BLOCK_CELLS`
 cells: the writer adds each block of bits to a row template of ``0,`` pairs
-ending in ``0`` and a newline, and the reader decodes a body laid out exactly
-that way from the file's bytes straight into the corpus array, so neither
-holds more than one block beside its input and output.  That decoder is the
-only code that turns row text into bits.  A body it refuses (CRLF endings,
-blank lines, spaces around bits, or a real malformation) is decoded as text,
-laid out again as the writer lays it out, and decoded by the same pass; only
-if that fails too is it walked line by line, to name the first error and its
-line number.  A header claiming a huge ``m`` or ``width`` is refused before
+ending in ``0`` and a newline, and the reader reads a regular file laid out
+exactly that way one block at a time and subtracts the template from each, so
+it never holds the file's bytes.  That decoder is the only code that turns row
+text into bits.  A pipe or an open file is read whole and
+decoded by the same pass.  A body the pass refuses (CRLF endings, blank lines,
+spaces around bits, or a real malformation) is read whole as text, laid out
+again as the writer lays it out and decoded by the same pass; only if that
+fails too is it walked line by line, to name the first error and its line
+number.  A header claiming a huge ``m`` or ``width`` is refused before
 anything is allocated, since the body's length must match it.
 
 This module is the only one that turns values into text.  Every ``#
@@ -39,7 +40,10 @@ byte as :func:`_format_value` renders each cell.
 
 from __future__ import annotations
 
+import os
+import stat
 from contextlib import nullcontext, suppress
+from functools import partial
 from itertools import chain, islice
 from typing import Iterable, Mapping, Sequence
 
@@ -55,11 +59,11 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _reading(f, mode: str = "r"):
+def _reading(f):
     """Accept an open file or a path; close only what we opened."""
     if hasattr(f, "read"):
         return nullcontext(f)
-    return open(f, mode, encoding=None if "b" in mode else "utf-8")
+    return open(f, "r", encoding="utf-8")
 
 
 def _writing(f):
@@ -95,41 +99,115 @@ def write_header(out, fields: Mapping[str, object]) -> None:
 
 def write_corpus(f, corpus: ResponseCorpus, meta: Mapping[str, object] | None = None) -> None:
     """Write a corpus with its header; extra metadata keys follow width and m."""
-    fields = {"width": corpus.width, "m": corpus.m}
+    blocks = (corpus.bits[b] for b in _blocks(corpus.m, corpus.width))
+    with _writing(f) as out:
+        _write_rows(out, corpus.width, corpus.m, meta, blocks)
+
+
+def _write_rows(out, width: int, m: int, meta: Mapping[str, object] | None, blocks) -> None:
+    """The header, then each block of 0/1 rows added to the row template: the
+    only code that turns bits into row text."""
+    fields = {"width": width, "m": m}
     for key, value in (meta or {}).items():
         fields.setdefault(key, value)
-    with _writing(f) as out:
-        write_header(out, fields)
-        if corpus.m:  # no template for an empty corpus, whatever its width
-            template = _row_template(corpus.width)
-            for b in _blocks(corpus.m, corpus.width):
-                rows = (template + corpus.bits[b]).astype("<u2", copy=False)
-                out.write(rows.tobytes().decode("ascii"))
+    write_header(out, fields)
+    if m:  # no template for an empty corpus, whatever its width
+        template = _row_template(width)
+        for bits in blocks:
+            out.write((template + bits).astype("<u2", copy=False).tobytes().decode("ascii"))
 
 
 def read_corpus(f) -> tuple[ResponseCorpus, dict[str, str]]:
     """Parse a corpus file; returns the corpus and the raw header mapping.
 
-    A path is read as bytes, an open text file's text is encoded to UTF-8,
-    and both take the same pass; every malformation is reported with its
-    1-based line number.
+    The array is filled block by block from :func:`_corpus_source`, so a
+    regular file in the writer's layout is never held as bytes; every
+    malformation is reported with its 1-based line number.
     """
-    with _reading(f, "rb") as src:
-        data = src.read()
+    meta, width, m, rows = _corpus_source(f)
+    bits = np.empty((m, width), dtype=np.uint8)
+    for b, block in zip(_blocks(m, width), rows(), strict=True):
+        bits[b] = block
+    return ResponseCorpus(bits), meta
+
+
+def _corpus_source(f):
+    """A corpus file as a block source: its raw header mapping, width, m, and
+    a function returning one pass over its rows in the blocks of
+    :func:`~bisymrr.randomizer._blocks`, each a 0/1 array checked as it is
+    decoded.
+
+    A regular file whose body has the length its header implies is decoded
+    from read buffers on every pass.  Anything else (a pipe, an open file, a
+    lenient layout, a malformation) is decoded whole and at once by
+    :func:`_decode_whole`, which raises any error here.
+    """
+    if hasattr(f, "read"):
+        meta, bits = _decode_whole(f.read())
+    else:
+        with open(f, "rb") as src:
+            status = os.fstat(src.fileno())
+            if stat.S_ISREG(status.st_mode):
+                line = src.readline()
+                header = _writer_header(line)
+                if header is not None and status.st_size - len(line) == _body_size(*header[1:]):
+                    return (*header, partial(_stream_rows, f, len(line), *header[1:]))
+                src.seek(0)
+            meta, bits = _decode_whole(src.read())
+    m, width = bits.shape
+    return meta, width, m, lambda: (bits[b] for b in _blocks(m, width))
+
+
+def _body_size(width: int, m: int) -> int:
+    """Bytes in ``m`` rows of ``width`` bits as the writer lays them out."""
+    return m * 2 * width
+
+
+def _writer_header(line: bytes) -> tuple[dict[str, str], int, int] | None:
+    """Line 1, up to and with its newline, as a header; None if it is not one
+    line or not a valid header, which the whole-text pass then reports after
+    any decoding error elsewhere in the file.  A line 1 that fails to decode
+    fails as the whole file would."""
+    first = line.decode("utf-8").splitlines()
+    if len(first) == 1:  # not so when the file is empty or \r, \f, ... split line 1
+        with suppress(CorpusFormatError):
+            return _parse_header(first[0])
+    return None
+
+
+def _stream_rows(path, offset: int, width: int, m: int):
+    """One pass over the body of a file in the writer's layout, read one block
+    at a time.  A block in any other layout hands the rest of the pass to
+    :func:`_decode_whole`, which decodes the same leading rows."""
+    if not m:  # before the template, which a header's width alone sizes
+        return
+    template, rows = _row_template(width), range(m)
+    with open(path, "rb") as src:
+        src.seek(offset)
+        for b in _blocks(m, width):
+            size = _body_size(width, len(rows[b]))
+            chunk = src.read(size)
+            block = _check_rows(chunk, template) if len(chunk) == size else None
+            if block is None:
+                src.seek(0)
+                _, bits = _decode_whole(src.read())
+                yield from (bits[c] for c in _blocks(m, width) if c.start >= b.start)
+                return
+            yield block
+
+
+def _decode_whole(data: bytes | str) -> tuple[dict[str, str], np.ndarray]:
+    """The header mapping and bits of a whole file's bytes (or an open text
+    file's text); raises the first error with its line number."""
     if isinstance(data, str):  # an open text file
         data = data.encode("utf-8")
-    # up to and with its newline, line 1 fails to decode as the whole file would
     end = data.find(b"\n") + 1 or len(data)
-    head = data[:end].decode("utf-8").removesuffix("\n")
-    body = memoryview(data)[end:]
-    first = head.splitlines()
-    if len(first) == 1:  # not so when the file is empty or \r, \f, ... split line 1
-        with suppress(CorpusFormatError):  # raised again below, after any decoding error
-            meta, width, m = _parse_header(first[0])
-            if (bits := _decode_rows(body, width, m)) is not None:
-                return ResponseCorpus(bits), meta
+    if (header := _writer_header(data[:end])) is not None:
+        meta, width, m = header
+        if (bits := _decode_rows(memoryview(data)[end:], width, m)) is not None:
+            return meta, bits
     text = data.decode("utf-8")
-    del data, body  # hold the text alone, not the file's bytes beside it
+    del data  # hold the text alone, not the file's bytes beside it
     lines = text.splitlines()
     meta, width, m = _parse_header(lines[0] if lines else "")
     # the same rows as the writer lays them out: blank lines dropped, fields stripped
@@ -137,7 +215,7 @@ def read_corpus(f) -> tuple[ResponseCorpus, dict[str, str]]:
     bits = _decode_rows("".join(rows).encode("ascii", "replace"), width, m)
     if bits is None:
         raise _row_error(lines, width, m)
-    return ResponseCorpus(bits), meta
+    return meta, bits
 
 
 def _parse_header(line: str) -> tuple[dict[str, str], int, int]:
@@ -175,24 +253,30 @@ def _row_template(width: int) -> np.ndarray:
     return template
 
 
-def _decode_rows(body, width: int, m: int) -> np.ndarray | None:
-    """The rows of a byte buffer exactly as :func:`write_corpus` lays them out,
-    decoded a block at a time into one array; None for any other body.
+def _check_rows(chunk, template: np.ndarray) -> np.ndarray | None:
+    """The rows of a buffer laid out exactly as the writer lays them out, as
+    0/1 values; None for any other layout.
 
     Subtracting the template maps each valid byte pair to 0 or 1 and any wrong
     digit, separator, line end or non-ASCII byte to a larger value, so one
     comparison checks them all."""
-    if len(body) != m * 2 * width:
+    block = np.frombuffer(chunk, dtype="<u2").reshape(-1, template.size) - template
+    return block if block.max() <= 1 else None
+
+
+def _decode_rows(body, width: int, m: int) -> np.ndarray | None:
+    """The rows of an in-memory body in the writer's layout, decoded a block
+    at a time into one array; None for any other body."""
+    if len(body) != _body_size(width, m):
         return None
-    if m == 0:  # before the template, which a header's width alone sizes
-        return np.zeros((0, width), dtype=np.uint8)
-    pairs = np.frombuffer(body, dtype="<u2").reshape(m, width)
-    template, bits = _row_template(width), np.empty((m, width), dtype=np.uint8)
-    for b in _blocks(m, width):
-        block = pairs[b] - template
-        if block.max() > 1:
-            return None
-        bits[b] = block
+    bits = np.empty((m, width), dtype=np.uint8)
+    if m:  # before the template, which a header's width alone sizes
+        template = _row_template(width)
+        for b in _blocks(m, width):
+            block = _check_rows(body[_body_size(width, b.start) : _body_size(width, b.stop)], template)
+            if block is None:
+                return None
+            bits[b] = block
     return bits
 
 

@@ -24,8 +24,10 @@ import numpy as np
 
 from .errors import check_count, check_probability
 
-# Cells per block of each whole-corpus pass, which holds its input, its output and one block.
-BLOCK_CELLS = 1 << 18
+# Cells per block of each whole-corpus pass.  A pass holds its input, its
+# output and one block, and a flipping pass one block of float64 uniforms:
+# 512 KiB at 2^16 cells.
+BLOCK_CELLS = 1 << 16
 
 
 def _blocks(n: int, width: int, cells: int | None = None):
@@ -64,7 +66,11 @@ class RandomSeed:
         return np.random.Generator(np.random.Philox(key=self._key()))
 
     def record_uniforms(self, index: int, width: int) -> np.ndarray:
-        """The ``width`` uniforms record ``index`` consumes, computed directly.
+        """The ``width`` uniforms record ``index`` consumes, computed directly."""
+        return self._generator_at(index, width).random(width)
+
+    def _generator_at(self, index: int, width: int) -> np.random.Generator:
+        """A generator at the first draw of record ``index`` of ``width`` bits.
 
         Philox advances in 4-draw blocks, so position index*width is reached
         by advancing whole blocks and discarding the remainder.
@@ -77,7 +83,7 @@ class RandomSeed:
         gen = np.random.Generator(bits)
         if r:
             gen.random(r)
-        return gen.random(width)
+        return gen
 
 
 def _all_bits(arr: np.ndarray) -> bool:
@@ -101,6 +107,8 @@ class ResponseCorpus:
         arr = np.asarray(self.bits)
         if arr.ndim != 2:
             raise ValueError(f"corpus must be 2-dimensional, got shape {arr.shape}")
+        if arr.shape[0] and not arr.shape[1]:
+            raise ValueError(f"corpus records must have at least one bit, got shape {arr.shape}")
         if arr.size and not _all_bits(arr):
             raise ValueError("corpus entries must all be 0 or 1")
         object.__setattr__(self, "bits", arr.astype(np.uint8, copy=False))
@@ -121,10 +129,19 @@ class ResponseCorpus:
         )
 
 
+def _flip(bits: np.ndarray, a: float, gen: np.random.Generator) -> np.ndarray:
+    """``bits`` with each entry flipped with probability 1 - a, drawing one
+    uniform per entry from ``gen`` in row order: the only flipping code.  One
+    generator advanced block by block gives the flips of one batched draw."""
+    # P(u >= a) = 1 - a, with exact behavior at a = 0 (always flip, since
+    # u >= 0 always) and a = 1 (never flip, since u < 1 always)
+    return bits ^ (gen.random(bits.shape) >= a)
+
+
 def randomize(
     x: np.ndarray, a: float, seed: RandomSeed, index: int = 0
 ) -> np.ndarray:
-    """Flip each bit of ``x`` independently with probability 1 - a.
+    """Flip each bit of record ``x`` independently with probability 1 - a.
 
     ``index`` selects the record's counter block, so
     ``randomize(c.bits[j], a, seed, index=j)`` reproduces record j of
@@ -132,22 +149,18 @@ def randomize(
     """
     check_probability(a, "a")
     x = np.asarray(x, dtype=np.uint8)
-    u = seed.record_uniforms(index, x.shape[-1])
-    # P(u >= a) = 1 - a, with exact behavior at a = 0 (always flip, since
-    # u >= 0 always) and a = 1 (never flip, since u < 1 always)
-    flips = (u >= a).astype(np.uint8)
-    return x ^ flips
+    return _flip(x, a, seed._generator_at(index, x.shape[-1]))
 
 
 def randomize_corpus(c: ResponseCorpus, a: float, seed: RandomSeed) -> ResponseCorpus:
     """Randomize every record of a corpus, order preserved.
 
-    One generator draws each block of rows' uniforms in turn, so record j gets
-    exactly the uniforms of its counter block: the result matches per-record
+    One generator flips each block of rows in turn, so record j gets exactly
+    the uniforms of its counter block: the result matches per-record
     :func:`randomize` calls and one batched draw, whatever the block size.
     """
     check_probability(a, "a")
     gen, out = seed.generator(), np.empty_like(c.bits)
     for b in _blocks(c.m, c.width):
-        np.bitwise_xor(c.bits[b], gen.random(out[b].shape) >= a, out=out[b])
+        out[b] = _flip(c.bits[b], a, gen)
     return ResponseCorpus(out)

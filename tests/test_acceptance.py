@@ -218,7 +218,7 @@ def test_criterion_09_materialize_cost_per_added_bit():
     times = dict.fromkeys(widths, math.inf)
     # Each repeat times every width once, so a host slowdown lasting seconds
     # spreads over all widths instead of landing on whichever was being timed.
-    for _ in range(5):
+    for _ in range(15):
         for n in widths:
             times[n] = min(times[n], per_call(n, numbers[n]))
     ratios = [times[n + 1] / times[n] for n in range(6, 11)]

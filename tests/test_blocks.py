@@ -2,12 +2,15 @@
 at every block size, and memory bounded per corpus bit."""
 
 import io
+import os
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from bisymrr import (
+    Mechanism,
     RandomSeed,
     ResponseCorpus,
     marginal_histogram,
@@ -111,6 +114,71 @@ class TestBlockBoundaries:
         assert on_disk(read_corpus, path) == on_disk(read_corpus_lines, path)
 
 
+class TestStreamedRandomize:
+    """``randomize`` checks every block of its input, then decodes, flips and
+    writes one block at a time: the bytes of the whole-corpus path, and
+    nothing written for a malformed input."""
+
+    @pytest.fixture
+    def truth(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        write_corpus(path, CORPUS, {"source": "test"})
+        return path
+
+    @pytest.fixture
+    def want(self, tmp_path):
+        """What the whole-corpus path writes, from one batched draw."""
+        path = tmp_path / "want.csv"
+        noisy = ResponseCorpus(BITS ^ (SEED.generator().random((M, WIDTH)) >= A))
+        meta = {"source": "test", "a": A, "mechanism": Mechanism("direct", (A,)), "seed": 5, "stream": 2}
+        write_corpus_rows(path, noisy, meta)
+        return path.read_bytes()
+
+    @staticmethod
+    def randomize(source, *out):
+        flags = ["--a", str(A), "--seed", str(SEED.seed), "--stream", str(SEED.stream)]
+        return main(["randomize", str(source), *flags, *(["--out", str(*out)] if out else [])])
+
+    def test_output_is_the_same_at_every_block_size(self, rows, truth, want, tmp_path):
+        got = tmp_path / "got.csv"
+        assert self.randomize(truth, got) == 0
+        assert got.read_bytes() == want
+
+    def test_in_place_output_is_the_output_to_another_file(self, rows, truth, want, tmp_path):
+        other = tmp_path / "other.csv"
+        assert self.randomize(truth, other) == 0
+        assert self.randomize(truth, truth) == 0
+        assert truth.read_bytes() == other.read_bytes() == want
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out-file", "stdout"])
+    def test_malformed_last_row_writes_nothing(self, rows, truth, tmp_path, capsys, to_file):
+        lines = truth.read_text().splitlines(keepends=True)
+        lines[-1] = "0,1,2,0,1\n"
+        truth.write_text("".join(lines))
+        out = tmp_path / "out.csv"
+        out.write_text("kept\n")
+        assert self.randomize(truth, *[out] if to_file else []) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"line {M + 1}" in captured.err
+        assert out.read_text() == "kept\n"
+
+    def test_crlf_input_gives_the_same_bytes(self, rows, truth, want, tmp_path):
+        crlf, got = tmp_path / "crlf.csv", tmp_path / "got.csv"
+        crlf.write_bytes(truth.read_bytes().replace(b"\n", b"\r\n"))
+        assert self.randomize(crlf, got) == 0
+        assert got.read_bytes() == want
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_input_gives_the_same_bytes(self, rows, truth, want, tmp_path):
+        fifo, got = tmp_path / "fifo", tmp_path / "got.csv"
+        os.mkfifo(fifo)
+        feeder = threading.Thread(target=fifo.write_bytes, args=(truth.read_bytes(),), daemon=True)
+        feeder.start()
+        assert self.randomize(fifo, got) == 0
+        feeder.join(timeout=10)
+        assert got.read_bytes() == want
+
+
 # Peak traced bytes per corpus bit of each pass on a 200,000 x 16 corpus.  A
 # pass that held a whole-corpus float, int64 or text array would need at least
 # 8, 8 or 2 bytes per bit on top of its input and output.
@@ -118,19 +186,25 @@ BIG_M, BIG_WIDTH = 200_000, 16
 BYTES_PER_BIT = 4
 
 
-def peak_per_bit(fn, *args) -> float:
+def peak_bytes(fn, *args) -> int:
     tracemalloc.start()
     try:
         fn(*args)
-        return tracemalloc.get_traced_memory()[1] / (BIG_M * BIG_WIDTH)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
+def peak_per_bit(fn, *args) -> float:
+    return peak_bytes(fn, *args) / (BIG_M * BIG_WIDTH)
+
+
+def big_corpus(m: int) -> ResponseCorpus:
+    return ResponseCorpus(np.random.default_rng(41).integers(0, 2, (m, BIG_WIDTH), dtype=np.uint8))
+
+
 def test_passes_hold_at_most_four_bytes_per_corpus_bit(tmp_path):
-    corpus = ResponseCorpus(
-        np.random.default_rng(41).integers(0, 2, (BIG_M, BIG_WIDTH), dtype=np.uint8)
-    )
+    corpus = big_corpus(BIG_M)
     path = tmp_path / "big.csv"
     peaks = {"write": peak_per_bit(write_corpus, path, corpus, {"a": 0.75})}
     peaks["read"] = peak_per_bit(read_corpus, path)
@@ -138,3 +212,23 @@ def test_passes_hold_at_most_four_bytes_per_corpus_bit(tmp_path):
     peaks["histogram"] = peak_per_bit(marginal_histogram, corpus, range(BIG_WIDTH))
     assert read_corpus(path)[0] == corpus
     assert max(peaks.values()) <= BYTES_PER_BIT, peaks
+
+
+def test_read_holds_the_corpus_and_little_more(tmp_path):
+    """A file in the writer's layout is decoded from one read buffer into the
+    corpus array, so no copy of the file's bytes is held."""
+    path = tmp_path / "big.csv"
+    write_corpus(path, big_corpus(BIG_M))
+    assert peak_per_bit(read_corpus, path) <= 1.25
+
+
+def test_randomize_command_holds_one_block_whatever_the_corpus_size(tmp_path):
+    """File to file, ``randomize`` holds neither its input nor its output."""
+    peaks = {}
+    for m in (BIG_M, 2 * BIG_M):
+        path, out = tmp_path / f"{m}.csv", tmp_path / "out.csv"
+        write_corpus(path, big_corpus(m))
+        args = ["randomize", str(path), "--a", "0.75", "--seed", "41", "--out", str(out)]
+        peaks[m] = peak_bytes(main, args)
+    assert peaks[BIG_M] / (BIG_M * BIG_WIDTH) <= 0.5, peaks
+    assert peaks[2 * BIG_M] <= 1.2 * peaks[BIG_M], peaks

@@ -65,6 +65,12 @@ class TestCorpusRoundtrip:
         got, _ = read_corpus(io.StringIO(buf.getvalue()))
         assert got.bits.shape == (0, 10**11)
 
+    def test_zero_width_corpus_with_rows_is_refused_before_any_byte(self):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="at least one bit"):
+            write_corpus(buf, ResponseCorpus(np.zeros((3, 0), dtype=np.uint8)))
+        assert buf.getvalue() == ""
+
     def test_file_paths(self, tmp_path):
         path = tmp_path / "corpus.csv"
         write_corpus(path, CORPUS, {"seed": 1})
