@@ -17,16 +17,17 @@ parse(emit(x)) recovers every float bit-exactly.
 Every data row of a corpus is ``2·width`` bytes, so both directions run as
 numpy passes over blocks of about :data:`~bisymrr.randomizer.BLOCK_CELLS`
 cells: the writer adds each block of bits to a row template of ``0,`` pairs
-ending in ``0`` and a newline, and the reader reads a regular file laid out
-exactly that way one block at a time and subtracts the template from each, so
-it never holds the file's bytes.  That decoder is the only code that turns row
-text into bits.  A pipe or an open file is read whole and
-decoded by the same pass.  A body the pass refuses (CRLF endings, blank lines,
-spaces around bits, or a real malformation) is read whole as text, laid out
-again as the writer lays it out and decoded by the same pass; only if that
-fails too is it walked line by line, to name the first error and its line
-number.  A header claiming a huge ``m`` or ``width`` is refused before
-anything is allocated, since the body's length must match it.
+ending in ``0`` and a newline, and the reader, :func:`_rows`, reads the body a
+chunk of that many cells at a time, read on to the end of its line, and
+subtracts the template from each chunk in that layout.  Any other chunk (CRLF
+endings, blank lines, spaces around bits) has its lines laid out again as the
+writer lays them out and is checked the same way, so a file in any layout is
+held one chunk at a time, and :func:`_rows` is the only code that turns row
+bytes into bits.  A regular file is read from disk on every pass; a pipe or
+an open file is read once, into memory.  Only a file the pass refuses is
+walked whole, line by line, to name the first error and its line number.  A
+header claiming a huge ``m`` or ``width`` is refused before anything is
+allocated, since the body must be long enough to hold its rows.
 
 This module is the only one that turns values into text.  Every ``#
 key=value`` line (corpora, estimates, figure datasets) comes from
@@ -40,9 +41,10 @@ byte as :func:`_format_value` renders each cell.
 
 from __future__ import annotations
 
+import io
 import os
 import stat
-from contextlib import nullcontext, suppress
+from contextlib import nullcontext
 from functools import partial
 from itertools import chain, islice
 from typing import Iterable, Mapping, Sequence
@@ -120,42 +122,47 @@ def _write_rows(out, width: int, m: int, meta: Mapping[str, object] | None, bloc
 def read_corpus(f) -> tuple[ResponseCorpus, dict[str, str]]:
     """Parse a corpus file; returns the corpus and the raw header mapping.
 
-    The array is filled block by block from :func:`_corpus_source`, so a
-    regular file in the writer's layout is never held as bytes; every
+    The array is filled block by block from :func:`_corpus_source`, so a file
+    on disk is read one chunk at a time whatever its layout; every
     malformation is reported with its 1-based line number.
     """
     meta, width, m, rows = _corpus_source(f)
     bits = np.empty((m, width), dtype=np.uint8)
-    for b, block in zip(_blocks(m, width), rows(), strict=True):
-        bits[b] = block
+    start = 0
+    for block in rows():
+        bits[start : start + len(block)] = block
+        start += len(block)
     return ResponseCorpus(bits), meta
 
 
 def _corpus_source(f):
     """A corpus file as a block source: its raw header mapping, width, m, and
-    a function returning one pass over its rows in the blocks of
-    :func:`~bisymrr.randomizer._blocks`, each a 0/1 array checked as it is
-    decoded.
+    a function returning one pass of :func:`_rows` over its body.
 
-    A regular file whose body has the length its header implies is decoded
-    from read buffers on every pass.  Anything else (a pipe, an open file, a
-    lenient layout, a malformation) is decoded whole and at once by
-    :func:`_decode_whole`, which raises any error here.
+    A regular file is opened again on each pass; a pipe or an open file is
+    read once, into memory.  Line 1 is the header, and its length in bytes
+    the body's offset.  A bad header, or a body too short to hold m rows (so
+    a header claiming a huge m or width allocates nothing), raises here.
     """
     if hasattr(f, "read"):
-        meta, bits = _decode_whole(f.read())
+        data = f.read()
+        opener = partial(io.BytesIO, data.encode("utf-8") if isinstance(data, str) else data)
     else:
         with open(f, "rb") as src:
-            status = os.fstat(src.fileno())
-            if stat.S_ISREG(status.st_mode):
-                line = src.readline()
-                header = _writer_header(line)
-                if header is not None and status.st_size - len(line) == _body_size(*header[1:]):
-                    return (*header, partial(_stream_rows, f, len(line), *header[1:]))
-                src.seek(0)
-            meta, bits = _decode_whole(src.read())
-    m, width = bits.shape
-    return meta, width, m, lambda: (bits[b] for b in _blocks(m, width))
+            regular = stat.S_ISREG(os.fstat(src.fileno()).st_mode)
+            opener = partial(open, f, "rb") if regular else partial(io.BytesIO, src.read())
+    with opener() as src:
+        first = src.readline()  # a \r, \x85, ... may end line 1 before its \n
+        size = src.seek(0, os.SEEK_END)
+    try:
+        line = "".join(first.decode("utf-8").splitlines(keepends=True)[:1])
+        meta, width, m = _parse_header(line)
+    except (UnicodeDecodeError, CorpusFormatError):
+        raise _refused(opener) from None
+    offset = len(line.encode("utf-8"))
+    if size - offset < _body_size(width, m) - 1:  # m rows, the last without its newline
+        raise _refused(opener)
+    return meta, width, m, partial(_rows, opener, offset, width, m)
 
 
 def _body_size(width: int, m: int) -> int:
@@ -163,59 +170,39 @@ def _body_size(width: int, m: int) -> int:
     return m * 2 * width
 
 
-def _writer_header(line: bytes) -> tuple[dict[str, str], int, int] | None:
-    """Line 1, up to and with its newline, as a header; None if it is not one
-    line or not a valid header, which the whole-text pass then reports after
-    any decoding error elsewhere in the file.  A line 1 that fails to decode
-    fails as the whole file would."""
-    first = line.decode("utf-8").splitlines()
-    if len(first) == 1:  # not so when the file is empty or \r, \f, ... split line 1
-        with suppress(CorpusFormatError):
-            return _parse_header(first[0])
-    return None
+def _rows(opener, offset: int, width: int, m: int):
+    """One pass over the body from byte ``offset``: its m rows as 0/1 blocks
+    of about :data:`~bisymrr.randomizer.BLOCK_CELLS` cells.
 
-
-def _stream_rows(path, offset: int, width: int, m: int):
-    """One pass over the body of a file in the writer's layout, read one block
-    at a time.  A block in any other layout hands the rest of the pass to
-    :func:`_decode_whole`, which decodes the same leading rows."""
-    if not m:  # before the template, which a header's width alone sizes
-        return
-    template, rows = _row_template(width), range(m)
-    with open(path, "rb") as src:
+    This is the only code that turns row bytes into bits.  Each chunk is the
+    writer's bytes for a block of rows, read on to the end of its line.  A
+    chunk in the writer's layout is decoded straight from its bytes, any
+    other is laid out again by :func:`_relaid` and checked the same way.  No
+    UTF-8 character or \\r\\n pair straddles the \\n that ends a chunk, so a
+    chunk's lines are the file's own.  A chunk that still fails, a row past
+    the m-th or a body that ends short raises the error :func:`_refused`
+    names.
+    """
+    # an empty corpus reads a line at a time: no read is sized by its width
+    size = _body_size(width, next(_blocks(m, width), slice(0)).stop)
+    seen = 0
+    with opener() as src:
         src.seek(offset)
-        for b in _blocks(m, width):
-            size = _body_size(width, len(rows[b]))
+        while True:
             chunk = src.read(size)
-            block = _check_rows(chunk, template) if len(chunk) == size else None
+            if not chunk.endswith(b"\n"):
+                chunk += src.readline()
+            if not chunk:
+                break
+            block = _check_rows(chunk, width, m - seen)
             if block is None:
-                src.seek(0)
-                _, bits = _decode_whole(src.read())
-                yield from (bits[c] for c in _blocks(m, width) if c.start >= b.start)
-                return
+                block = _check_rows(_relaid(chunk), width, m - seen)
+            if block is None:
+                raise _refused(opener)
+            seen += len(block)
             yield block
-
-
-def _decode_whole(data: bytes | str) -> tuple[dict[str, str], np.ndarray]:
-    """The header mapping and bits of a whole file's bytes (or an open text
-    file's text); raises the first error with its line number."""
-    if isinstance(data, str):  # an open text file
-        data = data.encode("utf-8")
-    end = data.find(b"\n") + 1 or len(data)
-    if (header := _writer_header(data[:end])) is not None:
-        meta, width, m = header
-        if (bits := _decode_rows(memoryview(data)[end:], width, m)) is not None:
-            return meta, bits
-    text = data.decode("utf-8")
-    del data  # hold the text alone, not the file's bytes beside it
-    lines = text.splitlines()
-    meta, width, m = _parse_header(lines[0] if lines else "")
-    # the same rows as the writer lays them out: blank lines dropped, fields stripped
-    rows = (",".join(map(str.strip, line.split(","))) + "\n" for line in lines[1:] if line.strip())
-    bits = _decode_rows("".join(rows).encode("ascii", "replace"), width, m)
-    if bits is None:
-        raise _row_error(lines, width, m)
-    return meta, bits
+    if seen < m:
+        raise _refused(opener)
 
 
 def _parse_header(line: str) -> tuple[dict[str, str], int, int]:
@@ -253,37 +240,45 @@ def _row_template(width: int) -> np.ndarray:
     return template
 
 
-def _check_rows(chunk, template: np.ndarray) -> np.ndarray | None:
+def _check_rows(chunk: bytes, width: int, room: int) -> np.ndarray | None:
     """The rows of a buffer laid out exactly as the writer lays them out, as
-    0/1 values; None for any other layout.
+    0/1 values; None for any other layout or for more than ``room`` rows.
 
     Subtracting the template maps each valid byte pair to 0 or 1 and any wrong
     digit, separator, line end or non-ASCII byte to a larger value, so one
     comparison checks them all."""
-    block = np.frombuffer(chunk, dtype="<u2").reshape(-1, template.size) - template
+    rows, rest = divmod(len(chunk), _body_size(width, 1))
+    if rest or rows > room:
+        return None
+    if not rows:  # blank lines only: no template, which a header's width alone sizes
+        return np.empty((0, width), dtype=np.uint8)
+    block = np.frombuffer(chunk, dtype="<u2").reshape(rows, width) - _row_template(width)
     return block if block.max() <= 1 else None
 
 
-def _decode_rows(body, width: int, m: int) -> np.ndarray | None:
-    """The rows of an in-memory body in the writer's layout, decoded a block
-    at a time into one array; None for any other body."""
-    if len(body) != _body_size(width, m):
-        return None
-    bits = np.empty((m, width), dtype=np.uint8)
-    if m:  # before the template, which a header's width alone sizes
-        template = _row_template(width)
-        for b in _blocks(m, width):
-            block = _check_rows(body[_body_size(width, b.start) : _body_size(width, b.stop)], template)
-            if block is None:
-                return None
-            bits[b] = block
-    return bits
+def _relaid(chunk: bytes) -> bytes:
+    """Whole lines of a body laid out as the writer lays rows out: each line's
+    whitespace taken out (a field is then 0 or 1 exactly when it is so
+    stripped), blank lines dropped, non-ASCII characters as ``?``.  A byte
+    that is not UTF-8 decodes as U+FFFD, so no row holding one passes."""
+    rows = ("".join(line.split()) for line in chunk.decode("utf-8", "replace").splitlines())
+    return "".join(row + "\n" for row in rows if row).encode("ascii", "replace")
+
+
+def _refused(opener) -> CorpusFormatError:
+    """The first error in a file the block pass refused, found by walking its
+    whole text as lines: a decoding error anywhere in it, then a header error,
+    is raised; the first malformed row is returned with its line number."""
+    with opener() as src:
+        lines = src.read().decode("utf-8").splitlines()
+    _, width, m = _parse_header(lines[0] if lines else "")
+    return _row_error(lines, width, m)
 
 
 def _row_error(lines: list[str], width: int, m: int) -> CorpusFormatError:
     """The first malformation among the data rows after the header, with its
-    line number; called only on a body that :func:`_decode_rows` refused even
-    in the writer's layout, so there always is one."""
+    line number; called only on a body that :func:`_rows` refused, so there
+    always is one."""
     seen = 0
     for line_no, raw in enumerate(lines[1:], start=2):
         if not (text := raw.strip()):

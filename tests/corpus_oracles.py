@@ -2,9 +2,10 @@
 
 These are the package's original pure-Python corpus routines: the writer
 joins each row with ``","`` and the reader splits the file into lines and
-checks every field.  The package now decodes and encodes whole byte buffers
-with numpy; tests hold it to the same bytes, the same corpora and the same
-``CorpusFormatError`` messages and line numbers as these.
+checks every field.  The package now decodes and encodes rows a block at a
+time with numpy, whatever the file's layout; tests hold it to the same bytes,
+the same corpora and the same ``CorpusFormatError`` messages and line numbers
+as these.
 """
 
 from typing import Mapping

@@ -30,6 +30,14 @@ CORPUS = ResponseCorpus(BITS)
 A, SEED = 0.7, RandomSeed(5, 2)
 ROWS = range(1, 8)
 DEFAULT_CELLS = randomizer.BLOCK_CELLS, corpus_io.TABLE_BLOCK_CELLS
+# A written file's bytes in the writer's layout and in three others the
+# reader takes, each holding the same rows.
+LAYOUTS = {
+    "writer": lambda raw: raw,
+    "crlf": lambda raw: raw.replace(b"\n", b"\r\n"),
+    "blank-lines": lambda raw: raw.replace(b"\n", b"\n\n"),
+    "spaced": lambda raw: raw.replace(b",", b" , "),
+}
 
 
 @pytest.fixture(params=ROWS, ids=[f"{rows}-rows" for rows in ROWS])
@@ -170,13 +178,16 @@ class TestStreamedRandomize:
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_fifo_input_gives_the_same_bytes(self, rows, truth, want, tmp_path):
-        fifo, got = tmp_path / "fifo", tmp_path / "got.csv"
-        os.mkfifo(fifo)
-        feeder = threading.Thread(target=fifo.write_bytes, args=(truth.read_bytes(),), daemon=True)
-        feeder.start()
-        assert self.randomize(fifo, got) == 0
-        feeder.join(timeout=10)
-        assert got.read_bytes() == want
+        for name in ("writer", "crlf"):
+            fifo, got = tmp_path / f"{name}.fifo", tmp_path / f"{name}.csv"
+            os.mkfifo(fifo)
+            data = LAYOUTS[name](truth.read_bytes())
+            feeder = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+            feeder.start()
+            assert self.randomize(fifo, got) == 0
+            feeder.join(timeout=10)
+            assert not feeder.is_alive()
+            assert got.read_bytes() == want, name
 
 
 # Peak traced bytes per corpus bit of each pass on a 200,000 x 16 corpus.  A
@@ -211,6 +222,12 @@ def test_passes_hold_at_most_four_bytes_per_corpus_bit(tmp_path):
     peaks["randomize"] = peak_per_bit(randomize_corpus, corpus, 0.75, RandomSeed(41))
     peaks["histogram"] = peak_per_bit(marginal_histogram, corpus, range(BIG_WIDTH))
     assert read_corpus(path)[0] == corpus
+    for name, relay in LAYOUTS.items():
+        if name != "writer":  # a file in another layout is read a chunk at a time too
+            relaid = tmp_path / f"{name}.csv"
+            relaid.write_bytes(relay(path.read_bytes()))
+            peaks[f"read-{name}"] = peak_per_bit(read_corpus, relaid)
+            assert read_corpus(relaid)[0] == corpus, name
     assert max(peaks.values()) <= BYTES_PER_BIT, peaks
 
 
@@ -223,12 +240,15 @@ def test_read_holds_the_corpus_and_little_more(tmp_path):
 
 
 def test_randomize_command_holds_one_block_whatever_the_corpus_size(tmp_path):
-    """File to file, ``randomize`` holds neither its input nor its output."""
-    peaks = {}
-    for m in (BIG_M, 2 * BIG_M):
-        path, out = tmp_path / f"{m}.csv", tmp_path / "out.csv"
-        write_corpus(path, big_corpus(m))
-        args = ["randomize", str(path), "--a", "0.75", "--seed", "41", "--out", str(out)]
-        peaks[m] = peak_bytes(main, args)
-    assert peaks[BIG_M] / (BIG_M * BIG_WIDTH) <= 0.5, peaks
-    assert peaks[2 * BIG_M] <= 1.2 * peaks[BIG_M], peaks
+    """File to file, ``randomize`` holds neither its input nor its output,
+    whatever the input's layout."""
+    for name, relay in LAYOUTS.items():
+        peaks = {}
+        for m in (BIG_M, 2 * BIG_M):
+            path, out = tmp_path / f"{m}.csv", tmp_path / "out.csv"
+            write_corpus(path, big_corpus(m))
+            path.write_bytes(relay(path.read_bytes()))
+            args = ["randomize", str(path), "--a", "0.75", "--seed", "41", "--out", str(out)]
+            peaks[m] = peak_bytes(main, args)
+        assert peaks[BIG_M] / (BIG_M * BIG_WIDTH) <= 0.5, (name, peaks)
+        assert peaks[2 * BIG_M] <= 1.2 * peaks[BIG_M], (name, peaks)

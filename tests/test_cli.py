@@ -653,14 +653,16 @@ class TestClosedHoles:
             raise AssertionError("row template built for an empty corpus")
 
         path = tmp_path / "wide.csv"
-        path.write_text("# width=100000000000 m=0\n")
         monkeypatch.setattr(corpus_io, "_row_template", no_allocation)
-        assert run(capsys, "estimate", str(path), "--a", "0.75", *extra) == (
-            code, "", f"error: {message}\n"
-        )
-        assert run(capsys, "randomize", str(path), "--a", "0.75") == (
-            0, "# width=100000000000 m=0 a=0.75 mechanism=direct:0.75 seed=0 stream=0\n", ""
-        )
+        # blank lines after the header: a read sized by the width alone would not fit in memory
+        for body in (b"", b"\n", b"\r\n\n"):
+            path.write_bytes(b"# width=100000000000 m=0\n" + body)
+            assert run(capsys, "estimate", str(path), "--a", "0.75", *extra) == (
+                code, "", f"error: {message}\n"
+            )
+            assert run(capsys, "randomize", str(path), "--a", "0.75") == (
+                0, "# width=100000000000 m=0 a=0.75 mechanism=direct:0.75 seed=0 stream=0\n", ""
+            )
 
     @pytest.mark.parametrize("bits", ["", ",", "0,,1", "x"])
     def test_bits_that_name_no_positions_exit_2(self, tmp_path, monkeypatch, capsys, bits):

@@ -12,6 +12,7 @@ from bisymrr import (
     corpus_io,
     format_float,
     materialize,
+    randomizer,
     read_corpus,
     read_vector,
     write_corpus,
@@ -53,7 +54,7 @@ class TestCorpusRoundtrip:
         got, _ = roundtrip(ResponseCorpus(np.zeros((0, 2), dtype=np.uint8)))
         assert got.m == 0 and got.width == 2
 
-    def test_empty_corpus_of_huge_width_builds_no_row_template(self, monkeypatch):
+    def test_empty_corpus_of_huge_width_builds_no_row_template(self, monkeypatch, tmp_path):
         def no_allocation(*args):
             raise AssertionError("row template built for an empty corpus")
 
@@ -64,6 +65,13 @@ class TestCorpusRoundtrip:
         assert buf.getvalue() == "# width=100000000000 m=0\n"
         got, _ = read_corpus(io.StringIO(buf.getvalue()))
         assert got.bits.shape == (0, 10**11)
+        # blank lines after the header: a read sized by the width alone would not fit in memory
+        path = tmp_path / "wide.csv"
+        for body in ("\n", "\r\n\n"):
+            path.write_bytes((buf.getvalue() + body).encode())
+            for source in (path, io.StringIO(buf.getvalue() + body)):
+                got, _ = read_corpus(source)
+                assert got.bits.shape == (0, 10**11)
 
     def test_zero_width_corpus_with_rows_is_refused_before_any_byte(self):
         buf = io.StringIO()
@@ -222,6 +230,8 @@ class TestVectorizedCorpusIO:
         # a path is read as bytes, yet must read, and fail, as an open text
         # file (universal newlines, strict UTF-8) read by the line parser does
         raw = written(corpus, {"a": 0.75}).encode()
+        if data.draw(st.booleans()):  # rows longer than the writer's: chunks end inside rows
+            raw = raw.replace(b"\n", b"\r\n")
         op = data.draw(st.sampled_from(["replace", "delete", "insert"]))
         i = data.draw(st.integers(0, len(raw) - (op != "insert")))
         piece = data.draw(st.sampled_from(
@@ -231,7 +241,10 @@ class TestVectorizedCorpusIO:
         raw = raw[:i] + piece * (op != "delete") + raw[i + (op != "insert"):]
         path = tmp_path_factory.mktemp("mutated") / "c.csv"
         path.write_bytes(raw)
-        assert on_disk(read_corpus, path) == on_disk(read_corpus_lines, path)
+        # blocks of 1 to 8 rows, so that a file is read in several chunks
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(randomizer, "BLOCK_CELLS", data.draw(st.integers(1, 8)) * corpus.width)
+            assert on_disk(read_corpus, path) == on_disk(read_corpus_lines, path)
 
     @pytest.mark.parametrize(
         "raw",
