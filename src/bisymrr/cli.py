@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 import sys
 import warnings
+from contextlib import nullcontext
 from itertools import chain
 
 from .channel import inverse_parameter, materialize
@@ -31,7 +32,7 @@ from .corpus_io import (
     _writing,
     read_corpus,
     read_vector,
-    write_corpus,
+    write_corpus,  # unused: bench/launcher.py times it by wrapping this name
     write_header,
     write_matrix,
     write_table,
@@ -48,7 +49,7 @@ from .estimator import (
 from .figures import FLAT_DIRICHLET, ExperimentConfig, _cell_labels, build_figure
 from .parser import FIGURE_DEFAULTS, main
 from .privacy import a_for_epsilon, report_for_a
-from .randomizer import RandomSeed, _blocks, _flip, randomize_corpus
+from .randomizer import RandomSeed, _blocks, _flip, randomize_corpus  # unused; see write_corpus above
 from .surveys import Mechanism, effective_a, parse_mechanism
 
 
@@ -84,10 +85,12 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_randomize(args) -> int:
-    """Two passes over the input: the first checks every block, so nothing is
-    written unless all of it is valid; the second decodes, flips and writes
-    each block in turn."""
-    meta, width, m, rows = _corpus_source(args.input)
+    """Two passes over the input, held in memory if ``--out`` names it (opening
+    the output empties it): the first checks every block, so nothing is written
+    unless all of it is valid; the second decodes, flips and writes each block."""
+    in_place = args.out and os.path.exists(args.out) and os.path.samefile(args.input, args.out)
+    with open(args.input, "rb") if in_place else nullcontext(args.input) as source:
+        meta, width, m, rows = _corpus_source(source)
     for _ in rows():
         pass
     spec = _mechanism_from_args(args)
@@ -95,10 +98,6 @@ def cmd_randomize(args) -> int:
     seed = RandomSeed(args.seed, args.stream)
     check_probability(a, "a")
     meta.update(a=a, mechanism=spec, seed=args.seed, stream=args.stream)
-    if args.out and os.path.exists(args.out) and os.path.samefile(args.input, args.out):
-        # opening the output empties the input, so decode it whole first
-        write_corpus(args.out, randomize_corpus(read_corpus(args.input)[0], a, seed), meta)
-        return 0
     gen = seed.generator()
     with _writing(args.out if args.out else sys.stdout) as out:
         _write_rows(out, width, m, meta, (_flip(block, a, gen) for block in rows()))

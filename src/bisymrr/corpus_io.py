@@ -18,16 +18,18 @@ Every data row of a corpus is ``2·width`` bytes, so both directions run as
 numpy passes over blocks of about :data:`~bisymrr.randomizer.BLOCK_CELLS`
 cells: the writer adds each block of bits to a row template of ``0,`` pairs
 ending in ``0`` and a newline, and the reader, :func:`_rows`, reads the body a
-chunk of that many cells at a time, read on to the end of its line, and
-subtracts the template from each chunk in that layout.  Any other chunk (CRLF
-endings, blank lines, spaces around bits) has its lines laid out again as the
-writer lays them out and is checked the same way, so a file in any layout is
-held one chunk at a time, and :func:`_rows` is the only code that turns row
-bytes into bits.  A regular file is read from disk on every pass; a pipe or
-an open file is read once, into memory.  Only a file the pass refuses is
-walked whole, line by line, to name the first error and its line number.  A
-header claiming a huge ``m`` or ``width`` is refused before anything is
-allocated, since the body must be long enough to hold its rows.
+chunk of that many cells at a time, read on to the next ``\\r`` or ``\\n``,
+and subtracts the template from each chunk in that layout.  Any other chunk
+(CRLF or CR-only endings, blank lines, spaces around bits) has its lines laid
+out again as the writer lays them out and is checked the same way, so a file
+in any layout is held one chunk at a time, and :func:`_rows` is the only code
+that turns row bytes into bits.  A regular file is read from disk on every
+pass; a pipe or an open file is read once, into memory, and so is the input
+of a ``randomize`` whose ``--out`` is that input, which opening the output
+would empty.  Only a file the pass refuses is walked whole, line by line, to
+name the first error and its line number.  A header claiming a huge ``m`` or
+``width`` is refused before anything is allocated, since the body must be
+long enough to hold its rows.
 
 This module is the only one that turns values into text.  Every ``#
 key=value`` line (corpora, estimates, figure datasets) comes from
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import io
 import os
+import re
 import stat
 from contextlib import nullcontext
 from functools import partial
@@ -152,7 +155,7 @@ def _corpus_source(f):
             regular = stat.S_ISREG(os.fstat(src.fileno()).st_mode)
             opener = partial(open, f, "rb") if regular else partial(io.BytesIO, src.read())
     with opener() as src:
-        first = src.readline()  # a \r, \x85, ... may end line 1 before its \n
+        first = _rest_of_line(src)  # a \x85, \x0c, ... may end line 1 before its \r or \n
         size = src.seek(0, os.SEEK_END)
     try:
         line = "".join(first.decode("utf-8").splitlines(keepends=True)[:1])
@@ -175,13 +178,14 @@ def _rows(opener, offset: int, width: int, m: int):
     of about :data:`~bisymrr.randomizer.BLOCK_CELLS` cells.
 
     This is the only code that turns row bytes into bits.  Each chunk is the
-    writer's bytes for a block of rows, read on to the end of its line.  A
+    writer's bytes for a block of rows, read on to the next \\r or \\n.  A
     chunk in the writer's layout is decoded straight from its bytes, any
     other is laid out again by :func:`_relaid` and checked the same way.  No
-    UTF-8 character or \\r\\n pair straddles the \\n that ends a chunk, so a
-    chunk's lines are the file's own.  A chunk that still fails, a row past
-    the m-th or a body that ends short raises the error :func:`_refused`
-    names.
+    UTF-8 character straddles the \\r or \\n that ends a chunk, so a chunk's
+    lines are the file's own; a \\r\\n pair split between two chunks only
+    starts the second with a blank line, which the relay drops.  A chunk
+    that still fails, a row past the m-th or a body that ends short raises
+    the error :func:`_refused` names.
     """
     # an empty corpus reads a line at a time: no read is sized by its width
     size = _body_size(width, next(_blocks(m, width), slice(0)).stop)
@@ -190,8 +194,8 @@ def _rows(opener, offset: int, width: int, m: int):
         src.seek(offset)
         while True:
             chunk = src.read(size)
-            if not chunk.endswith(b"\n"):
-                chunk += src.readline()
+            if not chunk.endswith((b"\n", b"\r")):
+                chunk += _rest_of_line(src)
             if not chunk:
                 break
             block = _check_rows(chunk, width, m - seen)
@@ -203,6 +207,20 @@ def _rows(opener, offset: int, width: int, m: int):
             yield block
     if seen < m:
         raise _refused(opener)
+
+
+def _rest_of_line(src) -> bytes:
+    """The bytes of a binary stream from its position through the next \\n,
+    \\r or \\r\\n (or to its end), read in pieces of
+    :data:`io.DEFAULT_BUFFER_SIZE` bytes; the stream is left just after them."""
+    pieces = []
+    while piece := src.read(io.DEFAULT_BUFFER_SIZE):
+        if end := re.search(rb"\r\n?|\n", piece):
+            src.seek(end.end() - len(piece), os.SEEK_CUR)  # back over the overshoot
+            pieces.append(piece[: end.end()])
+            break
+        pieces.append(piece)
+    return b"".join(pieces)
 
 
 def _parse_header(line: str) -> tuple[dict[str, str], int, int]:

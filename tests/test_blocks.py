@@ -30,11 +30,12 @@ CORPUS = ResponseCorpus(BITS)
 A, SEED = 0.7, RandomSeed(5, 2)
 ROWS = range(1, 8)
 DEFAULT_CELLS = randomizer.BLOCK_CELLS, corpus_io.TABLE_BLOCK_CELLS
-# A written file's bytes in the writer's layout and in three others the
+# A written file's bytes in the writer's layout and in four others the
 # reader takes, each holding the same rows.
 LAYOUTS = {
     "writer": lambda raw: raw,
     "crlf": lambda raw: raw.replace(b"\n", b"\r\n"),
+    "cr": lambda raw: raw.replace(b"\n", b"\r"),
     "blank-lines": lambda raw: raw.replace(b"\n", b"\n\n"),
     "spaced": lambda raw: raw.replace(b",", b" , "),
 }
@@ -113,13 +114,27 @@ class TestBlockBoundaries:
             lambda text: text.replace("\n", "\n\n"),
             lambda text: text.replace(",", " , "),
             lambda text: (text.rsplit("\n", 2)[0] + "\n0,1\n").replace("\n", "\r\n"),
+            lambda text: text.replace("\n", "\r"),
         ],
-        ids=["crlf", "blank-lines", "spaced", "crlf-short-last-row"],
+        ids=["crlf", "blank-lines", "spaced", "crlf-short-last-row", "cr"],
     )
     def test_lenient_layouts_read_as_the_line_parser_reads_them(self, rows, tmp_path, relay):
         path = tmp_path / "lenient.csv"
         path.write_bytes(relay(written(CORPUS)).encode())
         assert on_disk(read_corpus, path) == on_disk(read_corpus_lines, path)
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r", "\n"], ids=["crlf", "cr", "lf"])
+def test_line_end_on_the_last_byte_of_a_read_piece(tmp_path, end):
+    """Line 1 is read in pieces of io.DEFAULT_BUFFER_SIZE bytes; a header
+    whose line end starts on a piece's last byte reads as the line parser
+    reads it, a \\r\\n split there included."""
+    head = "# width=5 m=53 pad="
+    head += "x" * (io.DEFAULT_BUFFER_SIZE - 1 - len(head))
+    path = tmp_path / "long-header.csv"
+    path.write_bytes((head + "\n" + written(CORPUS).split("\n", 1)[1]).replace("\n", end).encode())
+    assert on_disk(read_corpus, path) == on_disk(read_corpus_lines, path)
+    assert read_corpus(path)[0] == CORPUS
 
 
 class TestStreamedRandomize:
@@ -153,22 +168,25 @@ class TestStreamedRandomize:
         assert got.read_bytes() == want
 
     def test_in_place_output_is_the_output_to_another_file(self, rows, truth, want, tmp_path):
-        other = tmp_path / "other.csv"
-        assert self.randomize(truth, other) == 0
-        assert self.randomize(truth, truth) == 0
-        assert truth.read_bytes() == other.read_bytes() == want
+        for name, relay in LAYOUTS.items():
+            source, other = tmp_path / f"{name}.csv", tmp_path / f"{name}-other.csv"
+            source.write_bytes(relay(truth.read_bytes()))
+            assert self.randomize(source, other) == 0
+            assert self.randomize(source, source) == 0
+            assert source.read_bytes() == other.read_bytes() == want, name
 
-    @pytest.mark.parametrize("to_file", [True, False], ids=["out-file", "stdout"])
-    def test_malformed_last_row_writes_nothing(self, rows, truth, tmp_path, capsys, to_file):
+    @pytest.mark.parametrize("to", ["out-file", "stdout", "in-place"])
+    def test_malformed_last_row_writes_nothing(self, rows, truth, tmp_path, capsys, to):
         lines = truth.read_text().splitlines(keepends=True)
         lines[-1] = "0,1,2,0,1\n"
         truth.write_text("".join(lines))
         out = tmp_path / "out.csv"
         out.write_text("kept\n")
-        assert self.randomize(truth, *[out] if to_file else []) == 4
+        before = {path: path.read_bytes() for path in (truth, out)}
+        assert self.randomize(truth, *{"out-file": [out], "stdout": [], "in-place": [truth]}[to]) == 4
         captured = capsys.readouterr()
         assert captured.out == "" and f"line {M + 1}" in captured.err
-        assert out.read_text() == "kept\n"
+        assert {path: path.read_bytes() for path in before} == before
 
     def test_crlf_input_gives_the_same_bytes(self, rows, truth, want, tmp_path):
         crlf, got = tmp_path / "crlf.csv", tmp_path / "got.csv"
