@@ -2,8 +2,11 @@
 
 Subcommands: matrix | randomize | estimate | loss | privacy | figures.
 :mod:`bisymrr.parser` parses the command line without numpy and imports this
-module, with every layer of the package, only to :func:`run` a command;
-:func:`main` is the parser's, re-exported here.
+module only to :func:`run` a command; :func:`main` is the parser's,
+re-exported here.  This module loads numpy and the layers every command
+shares (channel, corpus I/O, estimator, randomizer); ``figures`` and
+``privacy`` load on the first use of one of their names, so ``randomize``
+and ``estimate`` never load them, and only ``figures`` imports :mod:`json`.
 Everything reads and writes flat CSV (stdout by default), all floats carry 17
 significant digits, and every randomized path takes an explicit seed.
 
@@ -21,11 +24,10 @@ import os
 import sys
 import warnings
 from contextlib import nullcontext
-from itertools import chain
+from importlib import import_module
 
 from .channel import inverse_parameter, materialize
 from .corpus_io import (
-    TABLE_BLOCK_CELLS,
     _corpus_source,
     _format_value,
     _write_rows,
@@ -46,11 +48,33 @@ from .estimator import (
     marginal_histogram,
     project_to_simplex,
 )
-from .figures import FLAT_DIRICHLET, ExperimentConfig, _cell_labels, build_figure
 from .parser import FIGURE_DEFAULTS, main
-from .privacy import a_for_epsilon, report_for_a
-from .randomizer import RandomSeed, _blocks, _flip, randomize_corpus  # unused; see write_corpus above
+from .randomizer import RandomSeed, _flip, randomize_corpus  # unused; see write_corpus above
 from .surveys import Mechanism, effective_a, parse_mechanism
+
+# Names from the modules only ``figures`` and ``privacy`` need, each bound on
+# first use (PEP 562), so ``randomize`` and ``estimate`` never load them.
+_LAZY = {
+    "FLAT_DIRICHLET": "figures",
+    "ExperimentConfig": "figures",
+    "build_figure": "figures",
+    "a_for_epsilon": "privacy",
+    "report_for_a": "privacy",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+# This module, through which the commands read the names above: a bare name
+# would not load them, and so a name rebound from outside (the bench's
+# timers rebind build_figure) is the one called.
+_lazy = sys.modules[__name__]
 
 
 def _mechanism_from_args(args, required: bool = True):
@@ -135,12 +159,7 @@ def cmd_estimate(args) -> int:
     with _writing(args.out if args.out else sys.stdout) as out:
         header = dict(width=width, m=m, a=a, bits=positions, projected=args.project)
         write_header(out, header)
-        # labels and floats are made in the table's blocks of rows, as write_table consumes them
-        blocks = _blocks(result.size, 2, TABLE_BLOCK_CELLS)
-        rows = chain.from_iterable(
-            zip(_cell_labels(len(positions), b), result[b].tolist()) for b in blocks
-        )
-        write_table(out, rows, ["pattern", "estimate"])
+        write_table(out, result[:, None], ["pattern", "estimate"], patterns=len(positions))
     return 0
 
 
@@ -168,8 +187,8 @@ def cmd_privacy(args) -> int:
     n = check_width(args.n, 1)
     k = args.k if args.k is not None else n
     s = args.s if args.s is not None else 1.0 / (1 << n)
-    a = args.a if args.epsilon is None else a_for_epsilon(args.epsilon, k)
-    return _write_keyvals(args, vars(report_for_a(a, k, n, s)))
+    a = args.a if args.epsilon is None else _lazy.a_for_epsilon(args.epsilon, k)
+    return _write_keyvals(args, vars(_lazy.report_for_a(a, k, n, s)))
 
 
 def cmd_figures(args) -> int:
@@ -199,14 +218,17 @@ def cmd_figures(args) -> int:
         text = args.pi.strip()
         try:
             settings["pi"] = (
-                text if text == FLAT_DIRICHLET else [float(t) for t in text.replace(",", " ").split()]
+                text
+                if text == _lazy.FLAT_DIRICHLET
+                else [float(t) for t in text.replace(",", " ").split()]
             )
         except ValueError:
             raise ValueError(
-                f"--pi must be comma-separated numbers or {FLAT_DIRICHLET!r}, got {args.pi!r}"
+                f"--pi must be comma-separated numbers or {_lazy.FLAT_DIRICHLET!r}, "
+                f"got {args.pi!r}"
             ) from None
-    cfg = ExperimentConfig.from_mapping({**reads, **settings})
-    columns, rows = build_figure(args.which, cfg)
+    cfg = _lazy.ExperimentConfig.from_mapping({**reads, **settings})
+    columns, rows = _lazy.build_figure(args.which, cfg)
     header = {"figure": args.which}
     for key in reads:
         header[key] = getattr(cfg.seed if key in ("seed", "stream") else cfg, key)

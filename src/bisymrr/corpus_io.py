@@ -26,10 +26,10 @@ in any layout is held one chunk at a time, and :func:`_rows` is the only code
 that turns row bytes into bits.  A regular file is read from disk on every
 pass; a pipe or an open file is read once, into memory, and so is the input
 of a ``randomize`` whose ``--out`` is that input, which opening the output
-would empty.  Only a file the pass refuses is walked whole, line by line, to
-name the first error and its line number.  A header claiming a huge ``m`` or
-``width`` is refused before anything is allocated, since the body must be
-long enough to hold its rows.
+would empty.  Only a file the pass refuses is walked again, a chunk at a
+time and line by line, to name the first error and its line number.  A
+header claiming a huge ``m`` or ``width`` is refused before anything is
+allocated, since the body must be long enough to hold its rows.
 
 This module is the only one that turns values into text.  Every ``#
 key=value`` line (corpora, estimates, figure datasets) comes from
@@ -38,7 +38,9 @@ key=value`` line (corpora, estimates, figure datasets) comes from
 matrices and key,value reports) from :func:`write_table`, which formats
 column-uniform rows of ``str``, ``int`` and ``float`` cells in blocks of about
 :data:`TABLE_BLOCK_CELLS` cells with one ``%`` template per table, byte for
-byte as :func:`_format_value` renders each cell.
+byte as :func:`_format_value` renders each cell.  The bit pattern labelling
+each cell of a marginal comes from :func:`_cell_digits`: as a ``str`` from
+:func:`_cell_labels`, or as bytes baked into a table's template.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import randomizer
 from .errors import CorpusFormatError
 from .randomizer import ResponseCorpus, _blocks
 from .surveys import Mechanism, _spec_text
@@ -178,26 +181,20 @@ def _rows(opener, offset: int, width: int, m: int):
     of about :data:`~bisymrr.randomizer.BLOCK_CELLS` cells.
 
     This is the only code that turns row bytes into bits.  Each chunk is the
-    writer's bytes for a block of rows, read on to the next \\r or \\n.  A
-    chunk in the writer's layout is decoded straight from its bytes, any
-    other is laid out again by :func:`_relaid` and checked the same way.  No
-    UTF-8 character straddles the \\r or \\n that ends a chunk, so a chunk's
-    lines are the file's own; a \\r\\n pair split between two chunks only
-    starts the second with a blank line, which the relay drops.  A chunk
-    that still fails, a row past the m-th or a body that ends short raises
-    the error :func:`_refused` names.
+    writer's bytes for a block of rows, read on to the next line end by
+    :func:`_chunks`.  A chunk in the writer's layout is decoded straight from
+    its bytes, any other is laid out again by :func:`_relaid` and checked the
+    same way.  No UTF-8 character straddles the line end that ends a chunk,
+    so a chunk's lines are the file's own.  A chunk that still fails, a row
+    past the m-th or a body that ends short raises the error :func:`_refused`
+    names.
     """
     # an empty corpus reads a line at a time: no read is sized by its width
     size = _body_size(width, next(_blocks(m, width), slice(0)).stop)
     seen = 0
     with opener() as src:
         src.seek(offset)
-        while True:
-            chunk = src.read(size)
-            if not chunk.endswith((b"\n", b"\r")):
-                chunk += _rest_of_line(src)
-            if not chunk:
-                break
+        for chunk in _chunks(src, size):
             block = _check_rows(chunk, width, m - seen)
             if block is None:
                 block = _check_rows(_relaid(chunk), width, m - seen)
@@ -207,6 +204,25 @@ def _rows(opener, offset: int, width: int, m: int):
             yield block
     if seen < m:
         raise _refused(opener)
+
+
+def _chunks(src, size: int):
+    """A binary stream from its position to its end, in reads of ``size``
+    bytes each read on to the next line end (a \\r\\n pair kept whole), so
+    every chunk but the last ends a line."""
+    while True:
+        chunk = src.read(size)
+        if not chunk.endswith((b"\n", b"\r")):
+            chunk += _rest_of_line(src)
+        if chunk.endswith(b"\r"):  # a \n right after it ends the same line
+            after = src.read(1)
+            if after == b"\n":
+                chunk += after
+            else:
+                src.seek(-len(after), os.SEEK_CUR)
+        if not chunk:
+            return
+        yield chunk
 
 
 def _rest_of_line(src) -> bytes:
@@ -285,20 +301,45 @@ def _relaid(chunk: bytes) -> bytes:
 
 def _refused(opener) -> CorpusFormatError:
     """The first error in a file the block pass refused, found by walking its
-    whole text as lines: a decoding error anywhere in it, then a header error,
-    is raised; the first malformed row is returned with its line number."""
+    text a chunk at a time as lines, as ``str.splitlines`` splits the whole
+    text: a decoding error anywhere in it, then a header error, then the
+    first malformed row with its line number."""
     with opener() as src:
-        lines = src.read().decode("utf-8").splitlines()
-    _, width, m = _parse_header(lines[0] if lines else "")
-    return _row_error(lines, width, m)
+        lines = _text_lines(src)
+        try:
+            _, width, m = _parse_header(next(lines, ""))
+            error = _row_error(lines, width, m)
+        except CorpusFormatError as exc:
+            error = exc
+        for _ in lines:  # a decoding error after the first malformation still comes first
+            pass
+    return error
 
 
-def _row_error(lines: list[str], width: int, m: int) -> CorpusFormatError:
-    """The first malformation among the data rows after the header, with its
-    line number; called only on a body that :func:`_rows` refused, so there
-    always is one."""
+def _text_lines(src):
+    """The lines of a binary stream's UTF-8 text from its start, read in
+    chunks of about :data:`~bisymrr.randomizer.BLOCK_CELLS` cells' bytes.  A
+    chunk that does not decode is decoded again with every byte before it,
+    so the error names its position in the whole text, as decoding it all at
+    once would."""
+    for chunk in _chunks(src, _body_size(1, randomizer.BLOCK_CELLS)):
+        try:
+            text = chunk.decode("utf-8")
+        except UnicodeDecodeError:
+            end = src.tell()
+            src.seek(0)
+            src.read(end).decode("utf-8")
+            raise
+        yield from text.splitlines()
+
+
+def _row_error(lines, width: int, m: int) -> CorpusFormatError:
+    """The first malformation among the data rows, the lines after the
+    header, with its line number; called only on a body that :func:`_rows`
+    refused, so there always is one."""
     seen = 0
-    for line_no, raw in enumerate(lines[1:], start=2):
+    line_no = 1
+    for line_no, raw in enumerate(lines, start=2):
         if not (text := raw.strip()):
             continue
         if seen == m:
@@ -312,16 +353,27 @@ def _row_error(lines: list[str], width: int, m: int) -> CorpusFormatError:
             if part.strip() not in ("0", "1"):
                 return CorpusFormatError(f"field {j} is {part!r}, expected 0 or 1", line=line_no)
         seen += 1
-    return CorpusFormatError(
-        f"header declared m={m} but found {seen} data rows", line=len(lines) + 1
-    )
+    return CorpusFormatError(f"header declared m={m} but found {seen} data rows", line=line_no + 1)
 
 
 def write_matrix(f, matrix: np.ndarray) -> None:
     """Row-major CSV, 17 significant digits per entry."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     with _writing(f) as out:
-        write_table(out, (row.tolist() for row in matrix))
+        write_table(out, np.atleast_2d(np.asarray(matrix, dtype=np.float64)))
+
+
+def _cell_digits(n: int, cells: slice = slice(None)) -> np.ndarray:
+    """The bit pattern of each of the 2^n cells of a marginal (or of a slice
+    of them), lowest bit first, as one row of ASCII ``0``/``1`` codes each."""
+    index = np.arange(*cells.indices(1 << n))
+    return (index[:, None] >> np.arange(n) & 1).astype(np.uint8) + ord("0")
+
+
+def _cell_labels(n: int, cells: slice = slice(None)) -> list[str]:
+    """Bit pattern of each of the 2^n cells (or of a slice of them), lowest bit first."""
+    if n == 0:
+        return [""]
+    return _cell_digits(n, cells).view(f"S{n}").ravel().astype(str).tolist()
 
 
 # Cells formatted by one % call: enough to amortize the call, few enough that
@@ -344,7 +396,12 @@ class _Conversion:
 _CONVERSIONS = {str: "%s", int: "%d", float: format_float(_Conversion())}
 
 
-def write_table(out, rows: Iterable[Sequence], columns: Sequence[str] | None = None) -> None:
+def write_table(
+    out,
+    rows: Iterable[Sequence] | np.ndarray,
+    columns: Sequence[str] | None = None,
+    patterns: int | None = None,
+) -> None:
     """Write ``rows`` as CSV lines after an optional line of column names.
 
     Every cell is a ``str``, an ``int`` or a ``float``, and every row has the
@@ -352,25 +409,59 @@ def write_table(out, rows: Iterable[Sequence], columns: Sequence[str] | None = N
     table; each block of about :data:`TABLE_BLOCK_CELLS` cells is formatted by
     one ``%`` call, byte for byte as :func:`_format_value` renders each cell.
     A row that breaks this is a caller's error and raises TypeError (blocks
-    before it are already written).  ``rows`` is consumed one block at a time.
+    before it are already written).  ``rows`` is consumed one block at a time;
+    a 2-D float64 array is turned into cells a block at a time.
+
+    With ``patterns`` set to n, each row is led by one more cell, the label
+    :func:`_cell_labels` gives the row's index in a 2^n-cell marginal.  Each
+    block's labels are made by numpy as ASCII bytes and baked into its
+    template, so only the other cells go through ``%``.
     """
     if columns is not None:
         out.write(",".join(columns) + "\n")
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is None:
-        return
-    kinds = list(map(type, first))
-    if not set(kinds) <= _CONVERSIONS.keys():
-        raise TypeError(f"table cells must be str, int or float, got {kinds}")
-    template = ",".join(_CONVERSIONS[kind] for kind in kinds) + "\n"
-    per_block = max(1, TABLE_BLOCK_CELLS // max(len(kinds), 1))
-    rows = chain([first], rows)
+    label = [] if patterns is None else [""]  # the label column, baked in a block at a time
+    if isinstance(rows, np.ndarray):
+        kinds = [float] * rows.shape[1]
+        slices = _blocks(len(rows), len(label) + len(kinds), TABLE_BLOCK_CELLS)
+        blocks = ((len(rows[b]), rows[b].ravel().tolist()) for b in slices)
+    else:
+        rows = iter(rows)
+        first = next(rows, None)
+        if first is None:
+            return
+        kinds = list(map(type, first))
+        if not set(kinds) <= _CONVERSIONS.keys():
+            raise TypeError(f"table cells must be str, int or float, got {kinds}")
+        per_block = max(1, TABLE_BLOCK_CELLS // max(len(label) + len(kinds), 1))
+        blocks = _row_blocks(chain([first], rows), kinds, per_block)
+    template = ",".join(label + [_CONVERSIONS[kind] for kind in kinds]) + "\n"
+    start = 0
+    for count, cells in blocks:
+        if patterns is None:
+            text = template * count
+        else:
+            text = _labelled(template, patterns, slice(start, start + count))
+        start += count
+        out.write(text % tuple(cells))
+
+
+def _row_blocks(rows, kinds: list[type], per_block: int):
+    """Blocks of ``per_block`` rows as (row count, their cells in one list),
+    each checked to hold only rows of the cell types ``kinds``."""
     while block := list(islice(rows, per_block)):
         cells = list(chain.from_iterable(block))
         if set(map(len, block)) != {len(kinds)} or list(map(type, cells)) != kinds * len(block):
             raise TypeError(f"every table row must have the first row's cell types {kinds}")
-        out.write(template * len(block) % tuple(cells))
+        yield len(block), cells
+
+
+def _labelled(template: str, n: int, cells: slice) -> str:
+    """``template`` once for each of a slice of the 2^n cells of a marginal,
+    each time led by the cell's label, built as one array of ASCII codes."""
+    digits = _cell_digits(n, cells)
+    tail = np.frombuffer(template.encode("ascii"), dtype=np.uint8)
+    text = np.hstack([digits, np.broadcast_to(tail, (len(digits), tail.size))])
+    return text.tobytes().decode("ascii")
 
 
 def read_vector(f) -> np.ndarray:

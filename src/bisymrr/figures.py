@@ -21,8 +21,9 @@ allows: the kernel pass costs the same per vector on a ``trials x 2^n`` block
 as on one histogram, so all trials go through
 :func:`~bisymrr.estimator.estimate` as one block per estimator, its width is
 capped at :data:`~bisymrr.errors.FIGURE_1A_CAP` and its block at
-:data:`~bisymrr.errors.CELL_CAP` cells.  Figure functions return a column
-list and rows of plain Python values, which the CLI writes with
+:data:`~bisymrr.errors.CELL_CAP` cells, and its rows are made one trial at a
+time as they are written.  Figure functions return a column list and rows of
+plain Python values (``1a`` an iterator of them), which the CLI writes with
 :func:`~bisymrr.corpus_io.write_table`.  The settings each figure reads, and
 their defaults, are :data:`~bisymrr.parser.FIGURE_DEFAULTS`, beside the
 argument parser that offers them.
@@ -32,10 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
 from .channel import apply_kernel
+from .corpus_io import _cell_labels
 from .errors import CELL_CAP, FIGURE_1A_CAP, WidthCapError, check_count
 from .estimator import check_distribution, estimate, flat_average_loss, loss
 from .privacy import a_for_epsilon
@@ -118,16 +121,7 @@ def _trial_seed(cfg: ExperimentConfig, trial: int) -> RandomSeed:
     return RandomSeed(cfg.seed.seed, cfg.seed.stream + 1 + trial)
 
 
-def _cell_labels(n: int, cells: slice = slice(None)) -> list[str]:
-    """Bit pattern of each of the 2^n cells (or of a slice of them), lowest bit first."""
-    if n == 0:
-        return [""]
-    index = np.arange(*cells.indices(1 << n))
-    digits = (index[:, None] >> np.arange(n) & 1).astype(np.uint8) + ord("0")
-    return digits.view(f"S{n}").ravel().astype(str).tolist()
-
-
-def figure_1a(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
+def figure_1a(cfg: ExperimentConfig) -> tuple[list[str], Iterable[list]]:
     """Direct vs randomized vs loss-scaled randomized estimates, per trial.
 
     Each trial draws its three samples from its own stream, in trial order;
@@ -135,7 +129,8 @@ def figure_1a(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     estimator, which gives every row the bits a per-trial estimate would.
     Widths above :data:`FIGURE_1A_CAP`, and blocks of more than
     :data:`~bisymrr.errors.CELL_CAP` cells, are refused before any 2^n-cell
-    array exists.
+    array exists.  The rows are made from the three estimate blocks one
+    trial at a time, as they are written.
     """
     if cfg.n > FIGURE_1A_CAP:
         raise WidthCapError(
@@ -162,18 +157,17 @@ def figure_1a(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
         counts[0, trial] = gen.multinomial(cfg.m, pi)
         counts[1, trial] = gen.multinomial(cfg.m, mixed)
         counts[2, trial] = gen.multinomial(m_scaled, mixed)
-    # Every estimate runs before any row exists; then each block becomes its
-    # rows and is dropped, and rows are labelled in place, so no array or
-    # second copy of the cells sits beside the finished table.
-    blocks = [counts[0] / cfg.m, estimate(counts[1], a), estimate(counts[2], a)]
+    blocks = [
+        ("direct", cfg.m, counts[0] / cfg.m),
+        ("randomized", cfg.m, estimate(counts[1], a)),
+        ("randomized_scaled", m_scaled, estimate(counts[2], a)),
+    ]
     del counts
-    tables = [blocks.pop(0).tolist() for _ in range(3)]
-    labels = (("direct", cfg.m), ("randomized", cfg.m), ("randomized_scaled", m_scaled))
-    rows: list[list] = []
-    for trial, trial_rows in enumerate(zip(*tables)):
-        for row, (estimator, m) in zip(trial_rows, labels):
-            row[:0] = (trial, estimator, m)
-            rows.append(row)
+    rows = (
+        [trial, estimator, m, *block[trial].tolist()]
+        for trial in range(cfg.trials)
+        for estimator, m, block in blocks
+    )
     return columns, rows
 
 
@@ -252,7 +246,7 @@ FIGURES = {
     "2b": figure_2b,
 }
 
-def build_figure(which: str, cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
+def build_figure(which: str, cfg: ExperimentConfig) -> tuple[list[str], Iterable[list]]:
     try:
         builder = FIGURES[which]
     except KeyError:

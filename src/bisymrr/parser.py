@@ -1,17 +1,20 @@
 """The command line's argument parser, which imports no numpy.
 
 :func:`main` parses first and imports :mod:`bisymrr.cli`, and with it numpy
-and every layer of the package, only to run a command, so ``--help``, each
-subcommand's ``--help`` and every usage error load no more than this module,
-:mod:`argparse`, :mod:`~bisymrr.errors` and :mod:`~bisymrr.surveys`.  So
-every table the help quotes lives in one of these: the size caps in
-``errors``, the mechanism specs in ``surveys``, and the settings each figure
-reads in :data:`FIGURE_DEFAULTS`, here.
+and the layers of the package that command needs, only to run a command, so
+``--help``, each subcommand's ``--help`` and every usage error load no more
+than this module, :mod:`argparse`, :mod:`~bisymrr.errors` and
+:mod:`~bisymrr.surveys`.  So every table the help quotes lives in one of
+these: the size caps in ``errors``, the mechanism specs in ``surveys``, and
+the settings each figure reads in :data:`FIGURE_DEFAULTS`, here.  Every
+command is listed with its help line, but only the commands a command line
+names get their arguments built.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 
 from .errors import CELL_CAP, DENSE_CAP, FIGURE_1A_CAP
 from .surveys import mechanism_forms
@@ -28,7 +31,94 @@ FIGURE_DEFAULTS: dict[str, dict] = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _matrix(p: argparse.ArgumentParser) -> None:
+    p.add_argument("a", type=float, help="per-bit truth probability")
+    p.add_argument("n", type=int, help="bit width")
+    p.add_argument("--inverse", action="store_true", help="emit the matrix inverse")
+
+
+def _randomize(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input", help="corpus file ('# width=.. m=..' header + bit rows)")
+    p.add_argument("--a", type=float, help="per-bit truth probability")
+    p.add_argument("--mechanism", help=f"mechanism spec: one of {mechanism_forms()}")
+    p.add_argument("--seed", type=int, default=0, help="randomness seed")
+    p.add_argument("--stream", type=int, default=0, help="substream id")
+
+
+def _estimate(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input", help="randomized corpus file")
+    p.add_argument("--a", type=float, help="channel parameter (default: corpus header)")
+    p.add_argument("--mechanism", help="mechanism spec instead of --a")
+    p.add_argument(
+        "--bits", help="comma-separated bit positions, increasing (default: all)"
+    )
+    p.add_argument(
+        "--project",
+        action="store_true",
+        help="project the raw estimate onto the probability simplex",
+    )
+
+
+def _loss(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--a", type=float, help="per-bit truth probability")
+    p.add_argument("--mechanism", help="mechanism spec instead of --a")
+    p.add_argument("--n", type=int, required=True, help="bit width")
+    p.add_argument("--s", type=float, help="sum of squared cell probabilities")
+    p.add_argument("--pi", help="file with the distribution (s computed from it)")
+
+
+def _privacy(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--a", type=float, help="per-bit truth probability")
+    p.add_argument("--epsilon", type=float, help="total budget to invert")
+    p.add_argument("--k", type=int, help="max differing bits (default: n)")
+    p.add_argument("--n", type=int, required=True, help="bit width")
+    p.add_argument(
+        "--s",
+        type=float,
+        help="sum of squared cell probabilities for the loss row (default 2^-n)",
+    )
+
+
+def _figures(p: argparse.ArgumentParser) -> None:
+    p.epilog = (
+        "Each dataset reads only these settings, refuses any other flag or config key "
+        "(exit 2) and records them in its header: "
+        + "; ".join(f"{w} {', '.join(keys) or 'none'}" for w, keys in FIGURE_DEFAULTS.items())
+    )
+    p.add_argument("which", choices=sorted(FIGURE_DEFAULTS), help="dataset id")
+    p.add_argument("--config", help="JSON file of settings the dataset reads")
+    p.add_argument("--n", type=int, help="bit width")
+    p.add_argument("--m", type=int, help="responses per trial")
+    p.add_argument("--trials", type=int, help="number of trials")
+    p.add_argument("--pi", help="comma-separated distribution or 'dirichlet-flat'")
+    p.add_argument(
+        "--mechanism", help=f"mechanism spec (default {FIGURE_DEFAULTS['1a']['mechanism']})"
+    )
+    p.add_argument("--a", type=float, help="shortcut for --mechanism direct:<a>")
+    p.add_argument("--seed", type=int, help="randomness seed")
+    p.add_argument("--stream", type=int, help="substream id")
+    p.add_argument("--k", type=int, help="max differing bits for budget-indexed data")
+
+
+# Each command's line in the top-level help and the function adding its arguments.
+_COMMANDS = {
+    "matrix": ("print a flip matrix or its inverse as CSV", _matrix),
+    "randomize": ("randomize a corpus file", _randomize),
+    "estimate": ("estimate a marginal from a randomized corpus", _estimate),
+    "loss": ("closed-form efficiency-loss report", _loss),
+    "privacy": ("privacy-budget report (both directions)", _privacy),
+    "figures": (
+        "emit a canned experiment dataset as CSV; settings it does not read are refused",
+        _figures,
+    ),
+}
+
+
+def _build_parser(named=None) -> argparse.ArgumentParser:
+    """The parser of all six commands, with the arguments of those in
+    ``named`` (of every one if None): a command line can only run a command
+    it names, and the top-level help and errors list every command by its
+    help line alone."""
     parser = argparse.ArgumentParser(
         prog="bisymrr",
         description=(
@@ -47,82 +137,21 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("matrix", help="print a flip matrix or its inverse as CSV")
-    p.add_argument("a", type=float, help="per-bit truth probability")
-    p.add_argument("n", type=int, help="bit width")
-    p.add_argument("--inverse", action="store_true", help="emit the matrix inverse")
-
-    p = sub.add_parser("randomize", help="randomize a corpus file")
-    p.add_argument("input", help="corpus file ('# width=.. m=..' header + bit rows)")
-    p.add_argument("--a", type=float, help="per-bit truth probability")
-    p.add_argument("--mechanism", help=f"mechanism spec: one of {mechanism_forms()}")
-    p.add_argument("--seed", type=int, default=0, help="randomness seed")
-    p.add_argument("--stream", type=int, default=0, help="substream id")
-
-    p = sub.add_parser("estimate", help="estimate a marginal from a randomized corpus")
-    p.add_argument("input", help="randomized corpus file")
-    p.add_argument("--a", type=float, help="channel parameter (default: corpus header)")
-    p.add_argument("--mechanism", help="mechanism spec instead of --a")
-    p.add_argument(
-        "--bits", help="comma-separated bit positions, increasing (default: all)"
-    )
-    p.add_argument(
-        "--project",
-        action="store_true",
-        help="project the raw estimate onto the probability simplex",
-    )
-
-    p = sub.add_parser("loss", help="closed-form efficiency-loss report")
-    p.add_argument("--a", type=float, help="per-bit truth probability")
-    p.add_argument("--mechanism", help="mechanism spec instead of --a")
-    p.add_argument("--n", type=int, required=True, help="bit width")
-    p.add_argument("--s", type=float, help="sum of squared cell probabilities")
-    p.add_argument("--pi", help="file with the distribution (s computed from it)")
-
-    p = sub.add_parser("privacy", help="privacy-budget report (both directions)")
-    p.add_argument("--a", type=float, help="per-bit truth probability")
-    p.add_argument("--epsilon", type=float, help="total budget to invert")
-    p.add_argument("--k", type=int, help="max differing bits (default: n)")
-    p.add_argument("--n", type=int, required=True, help="bit width")
-    p.add_argument(
-        "--s",
-        type=float,
-        help="sum of squared cell probabilities for the loss row (default 2^-n)",
-    )
-
-    p = sub.add_parser(
-        "figures",
-        help="emit a canned experiment dataset as CSV; settings it does not read are refused",
-        epilog="Each dataset reads only these settings, refuses any other flag or config key "
-        "(exit 2) and records them in its header: "
-        + "; ".join(f"{w} {', '.join(keys) or 'none'}" for w, keys in FIGURE_DEFAULTS.items()),
-    )
-    p.add_argument("which", choices=sorted(FIGURE_DEFAULTS), help="dataset id")
-    p.add_argument("--config", help="JSON file of settings the dataset reads")
-    p.add_argument("--n", type=int, help="bit width")
-    p.add_argument("--m", type=int, help="responses per trial")
-    p.add_argument("--trials", type=int, help="number of trials")
-    p.add_argument("--pi", help="comma-separated distribution or 'dirichlet-flat'")
-    p.add_argument(
-        "--mechanism", help=f"mechanism spec (default {FIGURE_DEFAULTS['1a']['mechanism']})"
-    )
-    p.add_argument("--a", type=float, help="shortcut for --mechanism direct:<a>")
-    p.add_argument("--seed", type=int, help="randomness seed")
-    p.add_argument("--stream", type=int, help="substream id")
-    p.add_argument("--k", type=int, help="max differing bits for budget-indexed data")
-
-    for p in sub.choices.values():
-        p.add_argument("--out", help="output path (default stdout)")
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if named is None or name in named:
+            add_arguments(p)
+            p.add_argument("--out", help="output path (default stdout)")
     return parser
 
 
 def main(argv=None) -> int:
     """Parse ``argv`` (default ``sys.argv[1:]``), run its command and return
     the exit code; a run that ends in argparse exits 0 or 2 without loading
-    numpy."""
+    numpy.  Only the commands ``argv`` names get their arguments built."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(set(argv)).parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return 0 if code is None else (code if isinstance(code, int) else 2)

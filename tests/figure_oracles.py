@@ -10,9 +10,9 @@ The batched figure 1a and the block writer must match them byte for byte.
 import math
 
 from bisymrr.channel import apply_kernel
-from bisymrr.corpus_io import _format_value
+from bisymrr.corpus_io import _cell_labels, _format_value
 from bisymrr.estimator import efficiency_loss, estimate, trace_constant
-from bisymrr.figures import ExperimentConfig, _cell_labels, _trial_seed, sample_flat_dirichlet
+from bisymrr.figures import ExperimentConfig, _trial_seed, sample_flat_dirichlet
 from bisymrr.surveys import effective_a
 
 

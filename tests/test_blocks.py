@@ -13,15 +13,17 @@ from bisymrr import (
     Mechanism,
     RandomSeed,
     ResponseCorpus,
+    estimate,
     marginal_histogram,
     randomize,
     randomize_corpus,
     read_corpus,
     write_corpus,
 )
-from bisymrr import cli, corpus_io, randomizer
+from bisymrr import corpus_io, randomizer
 from bisymrr.cli import main
 from corpus_oracles import on_disk, read_corpus_lines, write_corpus_rows
+from figure_oracles import format_rows_per_cell
 
 # 53 is prime, so no block of 2 to 7 rows divides it and the last block is short.
 M, WIDTH = 53, 5
@@ -90,7 +92,6 @@ class TestBlockBoundaries:
         for block_cells, table_cells in ((rows * WIDTH, rows * 2), DEFAULT_CELLS):
             monkeypatch.setattr(randomizer, "BLOCK_CELLS", block_cells)
             monkeypatch.setattr(corpus_io, "TABLE_BLOCK_CELLS", table_cells)
-            monkeypatch.setattr(cli, "TABLE_BLOCK_CELLS", table_cells)
             for flags in ((), ("--project",), ("--bits", "1,2,4")):
                 code = main(["estimate", str(path), *flags])
                 runs.append((code, *capsys.readouterr()))
@@ -122,6 +123,25 @@ class TestBlockBoundaries:
         path = tmp_path / "lenient.csv"
         path.write_bytes(relay(written(CORPUS)).encode())
         assert on_disk(read_corpus, path) == on_disk(read_corpus_lines, path)
+
+
+@pytest.mark.parametrize("table_cells", [2, 6, corpus_io.TABLE_BLOCK_CELLS])
+def test_estimate_table_is_the_per_cell_writers_at_every_width(
+    tmp_path, monkeypatch, capsys, table_cells
+):
+    """The pattern column is baked into each block's template as bytes; the
+    table must read as one ``_cell_labels`` string and one ``_format_value``
+    per cell would write it, for marginals of 1 to 16 bits."""
+    corpus = ResponseCorpus(np.random.default_rng(7).integers(0, 2, (300, 16), dtype=np.uint8))
+    path = tmp_path / "c.csv"
+    write_corpus(path, corpus, {"a": A})
+    monkeypatch.setattr(corpus_io, "TABLE_BLOCK_CELLS", table_cells)
+    for k in range(1, 17):
+        assert main(["estimate", str(path), "--bits", ",".join(map(str, range(k)))]) == 0
+        table = capsys.readouterr().out.split("\n", 1)[1]
+        values = estimate(marginal_histogram(corpus, range(k)), A).tolist()
+        rows = zip(corpus_io._cell_labels(k), values)
+        assert table == format_rows_per_cell(rows, ["pattern", "estimate"]), k
 
 
 @pytest.mark.parametrize("end", ["\r\n", "\r", "\n"], ids=["crlf", "cr", "lf"])
@@ -270,3 +290,21 @@ def test_randomize_command_holds_one_block_whatever_the_corpus_size(tmp_path):
             peaks[m] = peak_bytes(main, args)
         assert peaks[BIG_M] / (BIG_M * BIG_WIDTH) <= 0.5, (name, peaks)
         assert peaks[2 * BIG_M] <= 1.2 * peaks[BIG_M], (name, peaks)
+
+
+def test_malformed_last_row_is_named_a_chunk_at_a_time(tmp_path, capsys):
+    """The error walk of a refused file holds one chunk of its text, not the
+    whole of it: a read holds the corpus array and little more, and
+    ``randomize``, which holds no corpus, one block."""
+    path = tmp_path / "bad.csv"
+    write_corpus(path, big_corpus(BIG_M))
+    with open(path, "r+b") as f:  # the last row's last bit becomes a 2
+        f.seek(-2, os.SEEK_END)
+        f.write(b"2")
+    assert on_disk(read_corpus, path) == on_disk(read_corpus_lines, path)
+    assert on_disk(read_corpus, path)[2] == BIG_M + 1
+    assert peak_per_bit(on_disk, read_corpus, path) <= 2
+    args = ["randomize", str(path), "--a", "0.75", "--out", str(tmp_path / "out.csv")]
+    assert peak_per_bit(main, args) <= 0.5
+    message = f"error: line {BIG_M + 1}: field 15 is '2', expected 0 or 1\n"
+    assert capsys.readouterr().err == message

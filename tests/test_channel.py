@@ -301,6 +301,7 @@ class TestNoDenseMatrixOnHotPath:
     def test_figure_1a_width_eight(self, no_dense):
         cfg = ExperimentConfig(n=8, m=1_000, trials=3)
         columns, rows = figure_1a(cfg)
+        rows = list(rows)
         assert len(columns) == 3 + 256
         assert [row[:2] for row in rows[:3]] == [
             [0, "direct"], [0, "randomized"], [0, "randomized_scaled"]

@@ -16,13 +16,14 @@ from bisymrr import (
     parse_mechanism,
     write_corpus,
 )
-from bisymrr import corpus_io, estimator, surveys
+from bisymrr import corpus_io, estimator, parser, surveys
 from bisymrr.cli import main
 from bisymrr.corpus_io import mechanism_text
 from bisymrr.parser import FIGURE_DEFAULTS
 from bisymrr.surveys import _MECHANISMS
 
 PI = np.array([0.05, 0.15, 0.3, 0.5])
+COMMANDS = ["matrix", "randomize", "estimate", "loss", "privacy", "figures"]
 
 # The settings each figure reads, in header order, and one valid value of
 # every setting that ``figures`` takes (as a flag and as a config-file key).
@@ -481,6 +482,21 @@ class TestTopLevel:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], ["frobnicate"], [], ["-h", "estimate"], ["estimate", "x", "--bogus"]]
+        + [[command, "--help"] for command in COMMANDS]
+        + [[command] for command in COMMANDS],
+        ids=lambda argv: " ".join(argv) or "nothing",
+    )
+    def test_help_and_usage_errors_are_the_full_parsers(self, capsys, argv):
+        """``main`` builds only the arguments of the commands a command line
+        names; what argparse prints and returns must not show it."""
+        got = (main(argv), *capsys.readouterr())
+        with pytest.raises(SystemExit) as end:
+            parser._build_parser().parse_args(argv)
+        assert got == (end.value.code or 0, *capsys.readouterr())
+
 
 class TestClosedHoles:
     """Inputs that once printed NaN or inf with exit 0, escaped as a
@@ -632,7 +648,7 @@ class TestClosedHoles:
         path = tmp_path / "wide.csv"
         write_corpus(path, ResponseCorpus(np.zeros((2, 40), dtype=np.uint8)))
         monkeypatch.setattr(estimator.np, "bincount", no_allocation)
-        monkeypatch.setattr("bisymrr.cli._cell_labels", no_allocation)
+        monkeypatch.setattr("bisymrr.corpus_io._cell_digits", no_allocation)
         code, out, err = run(capsys, "estimate", str(path), "--a", "0.75")
         assert (code, out, err) == (
             5, "", "error: a marginal on 40 bits has 2^40 cells, above the cap of 16777216\n"

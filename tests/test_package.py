@@ -51,6 +51,44 @@ def test_start_imports_no_numpy(args, code):
     assert {m for m in modules if m.partition(".")[0] == "bisymrr"} <= NUMPY_FREE
 
 
+# The modules only ``figures`` and ``privacy`` need.
+LAZY = {"bisymrr.figures", "bisymrr.privacy", "json"}
+
+
+def loaded_modules(*argv: str) -> tuple[int, set[str]]:
+    """Exit code of ``bisymrr ARGV`` in a fresh process, and every module in
+    its ``sys.modules`` at the end: ``-X importtime`` leaves out a module
+    that :func:`importlib.import_module` loads, as ``cli`` loads its lazy
+    names."""
+    probe = (
+        "import sys; from bisymrr.parser import main; code = main(sys.argv[1:]); "
+        "print(*sys.modules, file=sys.stderr); sys.exit(code)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        capture_output=True, text=True, env=ENV, cwd=ROOT, timeout=120,
+    )
+    return proc.returncode, set(proc.stderr.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize(
+    "args, loads",
+    [
+        (("randomize", "{corpus}", "--a", "0.75"), set()),
+        (("estimate", "{corpus}"), set()),
+        (("privacy", "--a", "0.75", "--n", "2"), {"bisymrr.privacy"}),
+        (("figures", "2b"), LAZY),
+    ],
+    ids=["randomize", "estimate", "privacy", "figures"],
+)
+def test_each_command_loads_only_what_it_uses(tmp_path, args, loads):
+    corpus = tmp_path / "c.csv"
+    corpus.write_text("# width=2 m=3 a=0.75\n0,1\n1,1\n0,0\n")
+    code, modules = loaded_modules(*(arg.format(corpus=corpus) for arg in args))
+    assert code == 0 and "bisymrr.cli" in modules
+    assert modules & LAZY == loads
+
+
 def test_running_a_command_imports_numpy():
     """The check above can tell: a real command does load numpy."""
     code, modules = imported_modules("-m", "bisymrr", "loss", "--a", "0.75", "--n", "1", "--s", "0.5")
