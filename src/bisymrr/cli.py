@@ -4,9 +4,9 @@ Subcommands: matrix | randomize | estimate | loss | privacy | figures.
 :mod:`bisymrr.parser` parses the command line without numpy and imports this
 module only to :func:`run` a command; :func:`main` is the parser's,
 re-exported here.  This module loads numpy and the layers every command
-shares (channel, corpus I/O, estimator, randomizer); ``figures`` and
-``privacy`` load on the first use of one of their names, so ``randomize``
-and ``estimate`` never load them, and only ``figures`` imports :mod:`json`.
+shares (channel, corpus I/O, estimator, randomizer); the ``privacy`` and
+``figures`` commands import their own layers (and ``figures`` :mod:`json`)
+when they run, so no other command loads them.
 Everything reads and writes flat CSV (stdout by default), all floats carry 17
 significant digits, and every randomized path takes an explicit seed.
 
@@ -24,7 +24,6 @@ import os
 import sys
 import warnings
 from contextlib import nullcontext
-from importlib import import_module
 
 from .channel import inverse_parameter, materialize
 from .corpus_io import (
@@ -34,7 +33,7 @@ from .corpus_io import (
     _writing,
     read_corpus,
     read_vector,
-    write_corpus,  # unused: bench/launcher.py times it by wrapping this name
+    write_corpus,  # unused: bench/launcher.py still wraps it, though no command calls it
     write_header,
     write_matrix,
     write_table,
@@ -49,32 +48,16 @@ from .estimator import (
     project_to_simplex,
 )
 from .parser import FIGURE_DEFAULTS, main
-from .randomizer import RandomSeed, _flip, randomize_corpus  # unused; see write_corpus above
+from .randomizer import RandomSeed, _flip, randomize_corpus  # unused; see write_corpus
 from .surveys import Mechanism, effective_a, parse_mechanism
 
-# Names from the modules only ``figures`` and ``privacy`` need, each bound on
-# first use (PEP 562), so ``randomize`` and ``estimate`` never load them.
-_LAZY = {
-    "FLAT_DIRICHLET": "figures",
-    "ExperimentConfig": "figures",
-    "build_figure": "figures",
-    "a_for_epsilon": "privacy",
-    "report_for_a": "privacy",
-}
 
+def build_figure(which: str, cfg):
+    """:func:`bisymrr.figures.build_figure`, bound here so that the bench can
+    time it by rebinding this name."""
+    from . import figures
 
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_LAZY[name]}", __package__), name)
-    globals()[name] = value
-    return value
-
-
-# This module, through which the commands read the names above: a bare name
-# would not load them, and so a name rebound from outside (the bench's
-# timers rebind build_figure) is the one called.
-_lazy = sys.modules[__name__]
+    return figures.build_figure(which, cfg)
 
 
 def _mechanism_from_args(args, required: bool = True):
@@ -187,12 +170,16 @@ def cmd_privacy(args) -> int:
     n = check_width(args.n, 1)
     k = args.k if args.k is not None else n
     s = args.s if args.s is not None else 1.0 / (1 << n)
-    a = args.a if args.epsilon is None else _lazy.a_for_epsilon(args.epsilon, k)
-    return _write_keyvals(args, vars(_lazy.report_for_a(a, k, n, s)))
+    from .privacy import a_for_epsilon, report_for_a
+
+    a = args.a if args.epsilon is None else a_for_epsilon(args.epsilon, k)
+    return _write_keyvals(args, vars(report_for_a(a, k, n, s)))
 
 
 def cmd_figures(args) -> int:
-    import json  # here alone, so no other command pays for the import
+    import json  # here, like the figures layer below, so no other command loads them
+
+    from .figures import FLAT_DIRICHLET, ExperimentConfig
 
     config = {}
     if args.config:
@@ -219,16 +206,16 @@ def cmd_figures(args) -> int:
         try:
             settings["pi"] = (
                 text
-                if text == _lazy.FLAT_DIRICHLET
+                if text == FLAT_DIRICHLET
                 else [float(t) for t in text.replace(",", " ").split()]
             )
         except ValueError:
             raise ValueError(
-                f"--pi must be comma-separated numbers or {_lazy.FLAT_DIRICHLET!r}, "
+                f"--pi must be comma-separated numbers or {FLAT_DIRICHLET!r}, "
                 f"got {args.pi!r}"
             ) from None
-    cfg = _lazy.ExperimentConfig.from_mapping({**reads, **settings})
-    columns, rows = _lazy.build_figure(args.which, cfg)
+    cfg = ExperimentConfig.from_mapping({**reads, **settings})
+    columns, rows = build_figure(args.which, cfg)
     header = {"figure": args.which}
     for key in reads:
         header[key] = getattr(cfg.seed if key in ("seed", "stream") else cfg, key)

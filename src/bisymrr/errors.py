@@ -82,9 +82,10 @@ def check_budget(eps: float) -> float:
 
 def check_count(value, name: str, minimum: int = 0) -> int:
     """An integer >= ``minimum``, returned as an int: integral floats (JSON
-    ``2.0``) pass, while 2.5, NaN and inf are refused rather than truncated."""
+    ``2.0``) pass, while 2.5, NaN, inf and booleans (JSON ``true``) are refused
+    rather than truncated or read as 1 and 0."""
     try:
-        count = int(value)
+        count = None if isinstance(value, bool) else int(value)
     except (TypeError, ValueError, OverflowError):
         count = None
     if count is None or count != value or not count >= minimum:

@@ -619,6 +619,19 @@ class TestClosedHoles:
         assert code == 2
         assert "trials must be an integer" in err
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"trials": True}, "trials must be an integer >= 1, got True"),
+            ({"seed": False}, "seed must be an integer >= 0, got False"),
+        ],
+        ids=["trials", "seed"],
+    )
+    def test_boolean_config_count_exits_2(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run(capsys, "figures", "1c", "--config", str(cfg)) == (2, "", f"error: {message}\n")
+
     def test_integral_float_config_count_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"trials": 2.0, "seed": 9.0}))

@@ -115,6 +115,8 @@ def test_budget(value, expected):
         (np.int64(7), 1, None),
         (np.float64(4.0), 1, None),
         (2**70, 0, None),
+        (True, 0, ValueError),
+        (False, 0, ValueError),
     ],
 )
 def test_count(value, minimum, expected):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import bisymrr
-from bisymrr import figures, parser
+from bisymrr import cli, figures, parser
 
 ROOT = Path(__file__).resolve().parent.parent
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -57,9 +57,7 @@ LAZY = {"bisymrr.figures", "bisymrr.privacy", "json"}
 
 def loaded_modules(*argv: str) -> tuple[int, set[str]]:
     """Exit code of ``bisymrr ARGV`` in a fresh process, and every module in
-    its ``sys.modules`` at the end: ``-X importtime`` leaves out a module
-    that :func:`importlib.import_module` loads, as ``cli`` loads its lazy
-    names."""
+    its ``sys.modules`` at the end."""
     probe = (
         "import sys; from bisymrr.parser import main; code = main(sys.argv[1:]); "
         "print(*sys.modules, file=sys.stderr); sys.exit(code)"
@@ -76,10 +74,12 @@ def loaded_modules(*argv: str) -> tuple[int, set[str]]:
     [
         (("randomize", "{corpus}", "--a", "0.75"), set()),
         (("estimate", "{corpus}"), set()),
+        (("matrix", "0.75", "1"), set()),
+        (("loss", "--a", "0.75", "--n", "1", "--s", "0.5"), set()),
         (("privacy", "--a", "0.75", "--n", "2"), {"bisymrr.privacy"}),
         (("figures", "2b"), LAZY),
     ],
-    ids=["randomize", "estimate", "privacy", "figures"],
+    ids=["randomize", "estimate", "matrix", "loss", "privacy", "figures"],
 )
 def test_each_command_loads_only_what_it_uses(tmp_path, args, loads):
     corpus = tmp_path / "c.csv"
@@ -87,6 +87,34 @@ def test_each_command_loads_only_what_it_uses(tmp_path, args, loads):
     code, modules = loaded_modules(*(arg.format(corpus=corpus) for arg in args))
     assert code == 0 and "bisymrr.cli" in modules
     assert modules & LAZY == loads
+
+
+def test_cli_binds_build_figure_without_loading_the_figures_layer():
+    probe = "import sys, bisymrr.cli; bisymrr.cli.build_figure; print(*sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=ENV, cwd=ROOT, timeout=120, check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "bisymrr.cli" in loaded and not {"bisymrr.figures", "bisymrr.privacy"} & loaded
+
+
+def test_figures_calls_the_build_figure_bound_in_cli(monkeypatch, capsys):
+    """The bench times the figures layer by rebinding ``cli.build_figure``, so
+    the command must call that binding, once, and print the same bytes."""
+    assert cli.main(["figures", "2a"]) == 0
+    plain = capsys.readouterr()
+    calls = []
+    build_figure = cli.build_figure
+
+    def recording(*args):
+        calls.append(args[0])
+        return build_figure(*args)
+
+    monkeypatch.setattr(cli, "build_figure", recording)
+    assert cli.main(["figures", "2a"]) == 0
+    assert capsys.readouterr() == plain
+    assert calls == ["2a"]
 
 
 def test_running_a_command_imports_numpy():
