@@ -186,7 +186,7 @@ def cmd_figures(args) -> int:
         with open(args.config, "r", encoding="utf-8") as handle:
             try:
                 config = json.load(handle)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # not JSON, or not UTF-8 text
                 raise CorpusFormatError(f"bad config file: {exc}") from exc
         if not isinstance(config, dict):
             raise CorpusFormatError(

@@ -17,19 +17,20 @@ parse(emit(x)) recovers every float bit-exactly.
 Every data row of a corpus is ``2·width`` bytes, so both directions run as
 numpy passes over blocks of about :data:`~bisymrr.randomizer.BLOCK_CELLS`
 cells: the writer adds each block of bits to a row template of ``0,`` pairs
-ending in ``0`` and a newline, and the reader, :func:`_rows`, reads the body a
-chunk of that many cells at a time, read on to the next ``\\r`` or ``\\n``,
-and subtracts the template from each chunk in that layout.  Any other chunk
-(CRLF or CR-only endings, blank lines, spaces around bits) has its lines laid
-out again as the writer lays them out and is checked the same way, so a file
-in any layout is held one chunk at a time, and :func:`_rows` is the only code
-that turns row bytes into bits.  A regular file is read from disk on every
-pass; a pipe or an open file is read once, into memory, and so is the input
-of a ``randomize`` whose ``--out`` is that input, which opening the output
-would empty.  Only a file the pass refuses is walked again, a chunk at a
-time and line by line, to name the first error and its line number.  A
-header claiming a huge ``m`` or ``width`` is refused before anything is
-allocated, since the body must be long enough to hold its rows.
+ending in ``0`` and a newline, and the reader, :func:`_rows`, reads the body
+in chunks of ``2·BLOCK_CELLS`` bytes, each read on to the next ``\\r`` or
+``\\n``, and subtracts the template from each chunk in that layout.  Any other
+chunk (CRLF or CR-only endings, blank lines, spaces around bits) has its lines
+laid out again as the writer lays them out and is checked the same way, so a
+file in any layout is held one chunk at a time, and :func:`_rows` is the only
+code that walks a corpus body.  It counts lines as it goes, so the first
+chunk it refuses names the file's first fault and its line number, and
+nothing after that chunk is read; a byte that is not UTF-8 is such a fault.
+A regular file is read from disk on every pass; a pipe or an open file is
+read once, into memory, and so is the input of a ``randomize`` whose
+``--out`` is that input, which opening the output would empty.  A header
+claiming a huge ``m`` or ``width`` is refused before anything is allocated,
+since the body must be long enough to hold its rows.
 
 This module is the only one that turns values into text.  Every ``#
 key=value`` line (corpora, estimates, figure datasets) comes from
@@ -158,17 +159,17 @@ def _corpus_source(f):
             regular = stat.S_ISREG(os.fstat(src.fileno()).st_mode)
             opener = partial(open, f, "rb") if regular else partial(io.BytesIO, src.read())
     with opener() as src:
-        first = _rest_of_line(src)  # a \x85, \x0c, ... may end line 1 before its \r or \n
+        # through the first \r, \n or \r\n; a \x85, \x0c, ... may end line 1 before it
+        first = next(_chunks(src, 0), b"")
         size = src.seek(0, os.SEEK_END)
-    try:
-        line = "".join(first.decode("utf-8").splitlines(keepends=True)[:1])
-        meta, width, m = _parse_header(line)
-    except (UnicodeDecodeError, CorpusFormatError):
-        raise _refused(opener) from None
-    offset = len(line.encode("utf-8"))
+    line = "".join(_text(first).splitlines(keepends=True)[:1])
+    meta, width, m = _parse_header(line)
+    offset = len(line.encode("utf-8", "surrogateescape"))
+    rows = partial(_rows, opener, offset, width, m)
     if size - offset < _body_size(width, m) - 1:  # m rows, the last without its newline
-        raise _refused(opener)
-    return meta, width, m, partial(_rows, opener, offset, width, m)
+        for _ in rows():  # raises the body's first fault
+            pass
+    return meta, width, m, rows
 
 
 def _body_size(width: int, m: int) -> int:
@@ -176,34 +177,52 @@ def _body_size(width: int, m: int) -> int:
     return m * 2 * width
 
 
+def _text(raw: bytes) -> str:
+    """UTF-8 bytes as text, each byte that is not UTF-8 as its escape in
+    U+DC80-U+DCFF (``"surrogateescape"``), which :func:`_not_utf8` finds."""
+    return raw.decode("utf-8", "surrogateescape")
+
+
+def _not_utf8(line: str) -> bool:
+    """Whether a line of :func:`_text` holds an escaped byte; a loop, as a
+    regular expression's class of these characters compiles to a 64 KiB
+    table, some 130 kB at peak, in every process that reads a corpus."""
+    return not line.isascii() and any("\udc80" <= c <= "\udcff" for c in line)
+
+
 def _rows(opener, offset: int, width: int, m: int):
     """One pass over the body from byte ``offset``: its m rows as 0/1 blocks
     of about :data:`~bisymrr.randomizer.BLOCK_CELLS` cells.
 
-    This is the only code that turns row bytes into bits.  Each chunk is the
-    writer's bytes for a block of rows, read on to the next line end by
-    :func:`_chunks`.  A chunk in the writer's layout is decoded straight from
-    its bytes, any other is laid out again by :func:`_relaid` and checked the
-    same way.  No UTF-8 character straddles the line end that ends a chunk,
-    so a chunk's lines are the file's own.  A chunk that still fails, a row
-    past the m-th or a body that ends short raises the error :func:`_refused`
-    names.
+    This is the only code that walks a corpus body, and so the only code that
+    turns row bytes into bits.  Each chunk is ``2·BLOCK_CELLS`` bytes, whatever
+    the width, read on to the next line end by :func:`_chunks`, so no read is
+    sized by the header.  A chunk in the writer's layout is decoded straight
+    from its bytes; any other is split into lines, laid out again by
+    :func:`_relaid` and checked the same way.  No UTF-8 character straddles
+    the line end that ends a chunk, so a chunk's lines are the file's own,
+    and counting them numbers every line.  A chunk that still fails raises its
+    first fault (:func:`_row_error`), so no byte after it is read; a body that
+    ends short raises at its end.
     """
-    # an empty corpus reads a line at a time: no read is sized by its width
-    size = _body_size(width, next(_blocks(m, width), slice(0)).stop)
     seen = 0
+    line = 1  # the header
     with opener() as src:
         src.seek(offset)
-        for chunk in _chunks(src, size):
+        for chunk in _chunks(src, _body_size(1, randomizer.BLOCK_CELLS)):
             block = _check_rows(chunk, width, m - seen)
             if block is None:
-                block = _check_rows(_relaid(chunk), width, m - seen)
-            if block is None:
-                raise _refused(opener)
+                lines = _text(chunk).splitlines()
+                block = _check_rows(_relaid(lines), width, m - seen)
+                if block is None:
+                    raise _row_error(lines, width, m, seen, line + 1)
+                line += len(lines)
+            else:
+                line += len(block)
             seen += len(block)
             yield block
     if seen < m:
-        raise _refused(opener)
+        raise CorpusFormatError(f"header declared m={m} but found {seen} data rows", line=line + 1)
 
 
 def _chunks(src, size: int):
@@ -241,6 +260,8 @@ def _rest_of_line(src) -> bytes:
 
 def _parse_header(line: str) -> tuple[dict[str, str], int, int]:
     """The ``# width=.. m=..`` line: raw key/value mapping, width and m."""
+    if _not_utf8(line):
+        raise CorpusFormatError("header is not UTF-8 text", line=1)
     if not line.lstrip().startswith("#"):
         raise CorpusFormatError("missing '# width=... m=...' header", line=1)
     meta: dict[str, str] = {}
@@ -290,56 +311,23 @@ def _check_rows(chunk: bytes, width: int, room: int) -> np.ndarray | None:
     return block if block.max() <= 1 else None
 
 
-def _relaid(chunk: bytes) -> bytes:
-    """Whole lines of a body laid out as the writer lays rows out: each line's
+def _relaid(lines: list[str]) -> bytes:
+    """Lines of a body laid out as the writer lays rows out: each line's
     whitespace taken out (a field is then 0 or 1 exactly when it is so
-    stripped), blank lines dropped, non-ASCII characters as ``?``.  A byte
-    that is not UTF-8 decodes as U+FFFD, so no row holding one passes."""
-    rows = ("".join(line.split()) for line in chunk.decode("utf-8", "replace").splitlines())
+    stripped), blank lines dropped, non-ASCII characters as ``?``, so no row
+    holding one, or an escaped byte that is not UTF-8, passes."""
+    rows = ("".join(line.split()) for line in lines)
     return "".join(row + "\n" for row in rows if row).encode("ascii", "replace")
 
 
-def _refused(opener) -> CorpusFormatError:
-    """The first error in a file the block pass refused, found by walking its
-    text a chunk at a time as lines, as ``str.splitlines`` splits the whole
-    text: a decoding error anywhere in it, then a header error, then the
-    first malformed row with its line number."""
-    with opener() as src:
-        lines = _text_lines(src)
-        try:
-            _, width, m = _parse_header(next(lines, ""))
-            error = _row_error(lines, width, m)
-        except CorpusFormatError as exc:
-            error = exc
-        for _ in lines:  # a decoding error after the first malformation still comes first
-            pass
-    return error
-
-
-def _text_lines(src):
-    """The lines of a binary stream's UTF-8 text from its start, read in
-    chunks of about :data:`~bisymrr.randomizer.BLOCK_CELLS` cells' bytes.  A
-    chunk that does not decode is decoded again with every byte before it,
-    so the error names its position in the whole text, as decoding it all at
-    once would."""
-    for chunk in _chunks(src, _body_size(1, randomizer.BLOCK_CELLS)):
-        try:
-            text = chunk.decode("utf-8")
-        except UnicodeDecodeError:
-            end = src.tell()
-            src.seek(0)
-            src.read(end).decode("utf-8")
-            raise
-        yield from text.splitlines()
-
-
-def _row_error(lines, width: int, m: int) -> CorpusFormatError:
-    """The first malformation among the data rows, the lines after the
-    header, with its line number; called only on a body that :func:`_rows`
-    refused, so there always is one."""
-    seen = 0
-    line_no = 1
-    for line_no, raw in enumerate(lines, start=2):
+def _row_error(lines: list[str], width: int, m: int, seen: int, line_no: int) -> CorpusFormatError:
+    """The first fault among the lines of a chunk that :func:`_rows` refused,
+    line ``line_no`` the first of them and ``seen`` data rows before them:
+    in each line, in turn, a byte that is not UTF-8, a row past the m-th, the
+    field count and the field values.  A refused chunk always holds one."""
+    for line_no, raw in enumerate(lines, start=line_no):
+        if _not_utf8(raw):
+            return CorpusFormatError("row is not UTF-8 text", line=line_no)
         if not (text := raw.strip()):
             continue
         if seen == m:
@@ -353,7 +341,6 @@ def _row_error(lines, width: int, m: int) -> CorpusFormatError:
             if part.strip() not in ("0", "1"):
                 return CorpusFormatError(f"field {j} is {part!r}, expected 0 or 1", line=line_no)
         seen += 1
-    return CorpusFormatError(f"header declared m={m} but found {seen} data rows", line=line_no + 1)
 
 
 def write_matrix(f, matrix: np.ndarray) -> None:
@@ -465,16 +452,14 @@ def _labelled(template: str, n: int, cells: slice) -> str:
 
 
 def read_vector(f) -> np.ndarray:
-    """Parse a flat list of numbers (commas and/or whitespace, '#' comments)."""
-    with _reading(f) as src:
-        text = src.read()
-    tokens: list[str] = []
-    for line in text.splitlines():
-        body = line.split("#", 1)[0]
-        tokens.extend(body.replace(",", " ").split())
+    """Parse a flat list of numbers (commas and/or whitespace, '#' comments);
+    a byte that is not UTF-8 is a parse error like a bad number."""
     try:
-        values = [float(t) for t in tokens]
-    except ValueError as exc:
+        with _reading(f) as src:
+            text = src.read()
+        lines = (line.split("#", 1)[0] for line in text.splitlines())
+        values = [float(t) for line in lines for t in line.replace(",", " ").split()]
+    except ValueError as exc:  # UnicodeDecodeError among them
         raise CorpusFormatError(f"bad number: {exc}") from exc
     if not values:
         raise CorpusFormatError("no numbers found")

@@ -82,10 +82,12 @@ def check_budget(eps: float) -> float:
 
 def check_count(value, name: str, minimum: int = 0) -> int:
     """An integer >= ``minimum``, returned as an int: integral floats (JSON
-    ``2.0``) pass, while 2.5, NaN, inf and booleans (JSON ``true``) are refused
-    rather than truncated or read as 1 and 0."""
+    ``2.0``) pass, while 2.5, NaN, inf and booleans (JSON ``true``, numpy's
+    ``np.True_``) are refused rather than truncated or read as 1 and 0."""
     try:
-        count = None if isinstance(value, bool) else int(value)
+        # by type name, as this module imports no numpy: numpy 2 names its
+        # boolean "bool", numpy 1 "bool_"
+        count = None if type(value).__name__ in ("bool", "bool_") else int(value)
     except (TypeError, ValueError, OverflowError):
         count = None
     if count is None or count != value or not count >= minimum:

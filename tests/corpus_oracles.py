@@ -5,15 +5,20 @@ joins each row with ``","`` and the reader splits the file into lines and
 checks every field.  The package now decodes and encodes rows a block at a
 time with numpy, whatever the file's layout; tests hold it to the same bytes,
 the same corpora and the same ``CorpusFormatError`` messages and line numbers
-as these.
+as these.  A path is read as bytes, and the first line holding a byte that is
+not UTF-8 is refused as not UTF-8 text, in file order with every other fault.
 """
 
+import re
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from bisymrr import CorpusFormatError, ResponseCorpus
-from bisymrr.corpus_io import _format_value, _reading, _writing
+from bisymrr.corpus_io import _format_value, _writing
+
+NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
 def write_corpus_rows(f, corpus: ResponseCorpus, meta: Mapping[str, object] | None = None) -> None:
@@ -30,8 +35,15 @@ def write_corpus_rows(f, corpus: ResponseCorpus, meta: Mapping[str, object] | No
 
 
 def read_corpus_lines(f) -> tuple[ResponseCorpus, dict[str, str]]:
-    with _reading(f) as src:
-        lines = src.read().splitlines()
+    # a path's bytes that are not UTF-8 decode to escapes in U+DC80-U+DCFF,
+    # and the first line holding one is a parse error in its own right
+    if hasattr(f, "read"):
+        text = f.read()
+    else:
+        text = Path(f).read_bytes().decode("utf-8", "surrogateescape")
+    lines = text.splitlines()
+    if lines and NOT_UTF8.search(lines[0]):
+        raise CorpusFormatError("header is not UTF-8 text", line=1)
     if not lines or not lines[0].lstrip().startswith("#"):
         raise CorpusFormatError("missing '# width=... m=...' header", line=1)
     meta: dict[str, str] = {}
@@ -57,6 +69,8 @@ def read_corpus_lines(f) -> tuple[ResponseCorpus, dict[str, str]]:
     rows = np.zeros((m, width), dtype=np.uint8)
     seen = 0
     for line_no, raw in enumerate(lines[1:], start=2):
+        if NOT_UTF8.search(raw):
+            raise CorpusFormatError("row is not UTF-8 text", line=line_no)
         text = raw.strip()
         if not text:
             continue
@@ -91,9 +105,9 @@ def read_corpus_lines(f) -> tuple[ResponseCorpus, dict[str, str]]:
 
 def on_disk(reader, path):
     """What a reader makes of a file on disk: the corpus and header, or the
-    error (a decoding error included) with its message and line number."""
+    error with its message and line number."""
     try:
         corpus, meta = reader(path)
-    except (CorpusFormatError, UnicodeDecodeError) as exc:
+    except CorpusFormatError as exc:
         return (type(exc).__name__, str(exc), getattr(exc, "line", None))
     return ("ok", corpus.bits.shape, corpus.bits.tobytes(), meta)

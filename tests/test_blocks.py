@@ -108,6 +108,32 @@ class TestBlockBoundaries:
         assert got == on_disk(read_corpus_lines, path)
         assert got[0] == "CorpusFormatError" and got[2] == row + 2
 
+    @pytest.mark.parametrize("row", [1, 4], ids=["first-chunk", "third-chunk"])
+    @pytest.mark.parametrize("layout", ["writer", "crlf"])
+    def test_refused_chunk_is_the_last_one_read(self, tmp_path, monkeypatch, layout, row):
+        """The pass that refuses a chunk names its first fault itself: no
+        byte after that chunk is read, and the file is not walked again."""
+        monkeypatch.setattr(randomizer, "BLOCK_CELLS", 2 * WIDTH)  # chunks of 2 rows
+        lines = written(CORPUS).splitlines(keepends=True)
+        lines[1 + row] = "0,1,2,0,1\n"
+        raw = LAYOUTS[layout]("".join(lines).encode())
+        path = tmp_path / "bad.csv"
+        path.write_bytes(raw)
+        read = []
+        chunks = corpus_io._chunks
+
+        def recorded(*args):
+            for chunk in chunks(*args):
+                read.append(chunk)
+                yield chunk
+
+        monkeypatch.setattr(corpus_io, "_chunks", recorded)
+        message = f"line {row + 2}: field 2 is '2', expected 0 or 1"
+        assert on_disk(read_corpus, path) == ("CorpusFormatError", message, row + 2)
+        text = b"".join(read)
+        # the header, then whole chunks of 2 rows up to the refused one
+        assert raw.startswith(text) and len(text.splitlines()) == 1 + 2 * (row // 2 + 1)
+
     @pytest.mark.parametrize(
         "relay",
         [
@@ -155,6 +181,10 @@ def test_line_end_on_the_last_byte_of_a_read_piece(tmp_path, end):
     path.write_bytes((head + "\n" + written(CORPUS).split("\n", 1)[1]).replace("\n", end).encode())
     assert on_disk(read_corpus, path) == on_disk(read_corpus_lines, path)
     assert read_corpus(path)[0] == CORPUS
+    # the body's lines are numbered from the header's whole line end
+    path.write_bytes(path.read_bytes().replace(b"1", b"2", 1))
+    got = on_disk(read_corpus, path)
+    assert got == on_disk(read_corpus_lines, path) and got[0] == "CorpusFormatError"
 
 
 class TestStreamedRandomize:

@@ -265,6 +265,13 @@ class TestLoss:
         got = parse_keyvals(out)
         assert float(got["approx_quality"]) < 0.0029
 
+    def test_pi_file_that_is_not_utf8_exits_4(self, tmp_path, capsys):
+        pi_file = tmp_path / "pi.csv"
+        pi_file.write_bytes(b"0.25 0.25\n0.25 0.\xff25\n")
+        code, out, err = run(capsys, "loss", "--a", "0.75", "--n", "2", "--pi", str(pi_file))
+        assert (code, out) == (4, "")
+        assert err.startswith("error: bad number: 'utf-8' codec can't decode byte 0xff")
+
     def test_s_and_pi_conflict(self, tmp_path, capsys):
         pi_file = tmp_path / "pi.csv"
         pi_file.write_text("0.5,0.5\n")
@@ -409,6 +416,13 @@ class TestFigures:
         code, _, err = run(capsys, "figures", "1b", "--config", str(cfg))
         assert code == 4
         assert "config" in err
+
+    def test_config_that_is_not_utf8_exits_4(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"trials": 2, "note": "\xff"}')
+        code, out, err = run(capsys, "figures", "1b", "--config", str(cfg))
+        assert (code, out) == (4, "")
+        assert err.startswith("error: bad config file: 'utf-8' codec can't decode byte 0xff")
 
     @pytest.mark.parametrize("text", ["[1, 2]", "5", '"n"', "null"])
     def test_non_object_config_exits_4(self, tmp_path, capsys, text):
@@ -653,6 +667,25 @@ class TestClosedHoles:
         path.write_text(f"{header}\n{body}\n")
         code, out, err = run(capsys, "estimate", str(path), "--a", "0.75")
         assert (code, out, err) == (4, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"# width=2 m=3\n0,1\n1,\xff\n0,0\n", "line 3: row is not UTF-8 text"),
+            (b"# width=2 m=3 note=\xff\n0,1\n1,1\n0,0\n", "line 1: header is not UTF-8 text"),
+            # the first fault in file order, though a later line is not UTF-8
+            (b"# width=2 m=4\n0,1\n1,2\n0,0\n\xff,1\n",
+             "line 3: field 1 is '2', expected 0 or 1"),
+        ],
+        ids=["row", "header", "malformed-row-first"],
+    )
+    def test_corpus_that_is_not_utf8_exits_4_with_a_line(self, tmp_path, capsys, raw, message):
+        path = tmp_path / "c.csv"
+        for layout in (raw, raw.replace(b"\n", b"\r\n")):
+            path.write_bytes(layout)
+            for command in ("estimate", "randomize"):
+                got = run(capsys, command, str(path), "--a", "0.75")
+                assert got == (4, "", f"error: {message}\n"), command
 
     def test_wide_marginal_exits_5_before_any_allocation(self, tmp_path, monkeypatch, capsys):
         def no_allocation(*args, **kwargs):

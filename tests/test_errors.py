@@ -117,6 +117,8 @@ def test_budget(value, expected):
         (2**70, 0, None),
         (True, 0, ValueError),
         (False, 0, ValueError),
+        (np.True_, 0, ValueError),
+        (np.False_, 0, ValueError),
     ],
 )
 def test_count(value, minimum, expected):

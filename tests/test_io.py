@@ -227,8 +227,9 @@ class TestVectorizedCorpusIO:
     def test_file_with_a_byte_mutation_reads_as_a_text_mode_line_parser(
         self, tmp_path_factory, corpus, data
     ):
-        # a path is read as bytes, yet must read, and fail, as an open text
-        # file (universal newlines, strict UTF-8) read by the line parser does
+        # a path is read as bytes, yet must read, and fail, as the line parser
+        # reads its text (universal newlines, the first line holding a byte
+        # that is not UTF-8 refused in file order)
         raw = written(corpus, {"a": 0.75}).encode()
         if data.draw(st.booleans()):  # rows longer than the writer's: chunks end inside rows
             raw = raw.replace(b"\n", b"\r\n")
