@@ -18,14 +18,15 @@ Every data row of a corpus is ``2·width`` bytes, so both directions run as
 numpy passes over blocks of about :data:`~bisymrr.randomizer.BLOCK_CELLS`
 cells: the writer adds each block of bits to a row template of ``0,`` pairs
 ending in ``0`` and a newline, and the reader, :func:`_rows`, reads the body
-in chunks of ``2·BLOCK_CELLS`` bytes, each read on to the next ``\\r`` or
-``\\n``, and subtracts the template from each chunk in that layout.  Any other
-chunk (CRLF or CR-only endings, blank lines, spaces around bits) has its lines
-laid out again as the writer lays them out and is checked the same way, so a
-file in any layout is held one chunk at a time, and :func:`_rows` is the only
-code that walks a corpus body.  It counts lines as it goes, so the first
-chunk it refuses names the file's first fault and its line number, and
-nothing after that chunk is read; a byte that is not UTF-8 is such a fault.
+forward only, ``2·BLOCK_CELLS`` bytes at a time, cuts each chunk after its
+last whole line end, carries the rest into the next chunk, and subtracts the
+template from each chunk in that layout.  Any other chunk (CRLF or CR-only
+endings, blank lines, spaces around bits) has its lines laid out again as the
+writer lays them out and is checked the same way, so a file in any layout is
+held one chunk at a time, and :func:`_rows` is the only code that walks a
+corpus body.  It counts lines as it goes, so the first chunk it refuses names
+the file's first fault and its line number, and the pass reads no further; a
+byte that is not UTF-8 is such a fault.
 A regular file is read from disk on every pass; a pipe or an open file is
 read once, into memory, and so is the input of a ``randomize`` whose
 ``--out`` is that input, which opening the output would empty.  A header
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 import io
 import os
-import re
 import stat
 from contextlib import nullcontext
 from functools import partial
@@ -147,9 +147,10 @@ def _corpus_source(f):
     a function returning one pass of :func:`_rows` over its body.
 
     A regular file is opened again on each pass; a pipe or an open file is
-    read once, into memory.  Line 1 is the header, and its length in bytes
-    the body's offset.  A bad header, or a body too short to hold m rows (so
-    a header claiming a huge m or width allocates nothing), raises here.
+    read once, into memory.  Line 1, the header, comes off the first chunk
+    of :func:`_chunks`, and its length in bytes is the body's offset.  A bad
+    header, or a body too short to hold m rows (so a header claiming a huge
+    m or width allocates nothing), raises here.
     """
     if hasattr(f, "read"):
         data = f.read()
@@ -159,10 +160,10 @@ def _corpus_source(f):
             regular = stat.S_ISREG(os.fstat(src.fileno()).st_mode)
             opener = partial(open, f, "rb") if regular else partial(io.BytesIO, src.read())
     with opener() as src:
-        # through the first \r, \n or \r\n; a \x85, \x0c, ... may end line 1 before it
-        first = next(_chunks(src, 0), b"")
+        # line 1 ends by the chunk's first \n; a \r, \x85, \x0c, ... may end it earlier
+        head, newline, _ = next(_chunks(src), b"").partition(b"\n")
         size = src.seek(0, os.SEEK_END)
-    line = "".join(_text(first).splitlines(keepends=True)[:1])
+    line = "".join(_text(head + newline).splitlines(keepends=True)[:1])
     meta, width, m = _parse_header(line)
     offset = len(line.encode("utf-8", "surrogateescape"))
     rows = partial(_rows, opener, offset, width, m)
@@ -195,21 +196,22 @@ def _rows(opener, offset: int, width: int, m: int):
     of about :data:`~bisymrr.randomizer.BLOCK_CELLS` cells.
 
     This is the only code that walks a corpus body, and so the only code that
-    turns row bytes into bits.  Each chunk is ``2·BLOCK_CELLS`` bytes, whatever
-    the width, read on to the next line end by :func:`_chunks`, so no read is
-    sized by the header.  A chunk in the writer's layout is decoded straight
-    from its bytes; any other is split into lines, laid out again by
-    :func:`_relaid` and checked the same way.  No UTF-8 character straddles
-    the line end that ends a chunk, so a chunk's lines are the file's own,
-    and counting them numbers every line.  A chunk that still fails raises its
-    first fault (:func:`_row_error`), so no byte after it is read; a body that
-    ends short raises at its end.
+    turns row bytes into bits.  Each read is ``2·BLOCK_CELLS`` bytes, whatever
+    the width, so no read is sized by the header, and :func:`_chunks` ends
+    each chunk at a line end, carrying an unfinished line into the next.  A
+    chunk in the writer's layout is decoded straight from its bytes; any
+    other is split into lines, laid out again by :func:`_relaid` and checked
+    the same way.  No UTF-8 character straddles the line end that ends a
+    chunk, so a chunk's lines are the file's own, and counting them numbers
+    every line.  A chunk that still fails raises its first fault
+    (:func:`_row_error`), so the pass reads no further; a body that ends
+    short raises at its end.
     """
     seen = 0
     line = 1  # the header
     with opener() as src:
         src.seek(offset)
-        for chunk in _chunks(src, _body_size(1, randomizer.BLOCK_CELLS)):
+        for chunk in _chunks(src):
             block = _check_rows(chunk, width, m - seen)
             if block is None:
                 lines = _text(chunk).splitlines()
@@ -225,37 +227,25 @@ def _rows(opener, offset: int, width: int, m: int):
         raise CorpusFormatError(f"header declared m={m} but found {seen} data rows", line=line + 1)
 
 
-def _chunks(src, size: int):
-    """A binary stream from its position to its end, in reads of ``size``
-    bytes each read on to the next line end (a \\r\\n pair kept whole), so
-    every chunk but the last ends a line."""
-    while True:
-        chunk = src.read(size)
-        if not chunk.endswith((b"\n", b"\r")):
-            chunk += _rest_of_line(src)
-        if chunk.endswith(b"\r"):  # a \n right after it ends the same line
-            after = src.read(1)
-            if after == b"\n":
-                chunk += after
-            else:
-                src.seek(-len(after), os.SEEK_CUR)
-        if not chunk:
-            return
-        yield chunk
-
-
-def _rest_of_line(src) -> bytes:
-    """The bytes of a binary stream from its position through the next \\n,
-    \\r or \\r\\n (or to its end), read in pieces of
-    :data:`io.DEFAULT_BUFFER_SIZE` bytes; the stream is left just after them."""
-    pieces = []
-    while piece := src.read(io.DEFAULT_BUFFER_SIZE):
-        if end := re.search(rb"\r\n?|\n", piece):
-            src.seek(end.end() - len(piece), os.SEEK_CUR)  # back over the overshoot
-            pieces.append(piece[: end.end()])
-            break
-        pieces.append(piece)
-    return b"".join(pieces)
+def _chunks(src):
+    """A binary stream from its position to its end, in reads of
+    ``2·BLOCK_CELLS`` bytes, each chunk cut after the last line end its bytes
+    show whole (a \\n, or a \\r with a byte after it, so a \\r\\n pair is
+    kept whole) and the rest carried into the next; every chunk but the last
+    ends a line.  A read that ends a line with nothing carried into it is
+    yielded as it is, and a line longer than one read is joined once."""
+    carried = []
+    while read := src.read(_body_size(1, randomizer.BLOCK_CELLS)):
+        # after the last \n, or after a later \r that a byte of this read follows
+        end = read.rfind(b"\n") + 1
+        end = max(end, read.rfind(b"\r", end, -1) + 1)
+        if end or (carried and carried[-1].endswith(b"\r")):  # a carried \r is whole now
+            yield b"".join([*carried, read[:end]])
+            carried = []
+        if end < len(read):
+            carried.append(read[end:])
+    if carried:
+        yield b"".join(carried)
 
 
 def _parse_header(line: str) -> tuple[dict[str, str], int, int]:

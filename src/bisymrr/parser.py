@@ -2,13 +2,16 @@
 
 :func:`main` parses first and imports :mod:`bisymrr.cli`, and with it numpy
 and the layers of the package that command needs, only to run a command, so
-``--help``, each subcommand's ``--help`` and every usage error load no more
-than this module, :mod:`argparse`, :mod:`~bisymrr.errors` and
-:mod:`~bisymrr.surveys`.  So every table the help quotes lives in one of
-these: the size caps in ``errors``, the mechanism specs in ``surveys``, and
-the settings each figure reads in :data:`FIGURE_DEFAULTS`, here.  Every
-command is listed with its help line, but only the commands a command line
-names get their arguments built.
+``--help``, each subcommand's ``--help`` and every error argparse raises
+itself load no more than this module, :mod:`argparse`,
+:mod:`~bisymrr.errors` and :mod:`~bisymrr.surveys`.  So every table the help
+quotes lives in one of these: the size caps in ``errors``, the mechanism
+specs in ``surveys``, and the settings each figure reads in
+:data:`FIGURE_DEFAULTS`, here.  Every command is listed with its help line,
+but only the commands a command line names get their arguments built.  A pair
+of flags given both or neither (``--a`` and ``--mechanism``, ``--s`` and
+``--pi``, ``--a`` and ``--epsilon``) is a usage error that
+:mod:`bisymrr.cli` raises, after numpy has loaded.
 """
 
 from __future__ import annotations

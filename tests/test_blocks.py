@@ -111,28 +111,35 @@ class TestBlockBoundaries:
     @pytest.mark.parametrize("row", [1, 4], ids=["first-chunk", "third-chunk"])
     @pytest.mark.parametrize("layout", ["writer", "crlf"])
     def test_refused_chunk_is_the_last_one_read(self, tmp_path, monkeypatch, layout, row):
-        """The pass that refuses a chunk names its first fault itself: no
-        byte after that chunk is read, and the file is not walked again."""
-        monkeypatch.setattr(randomizer, "BLOCK_CELLS", 2 * WIDTH)  # chunks of 2 rows
+        """The pass that refuses a chunk names its first fault itself: it
+        reads less than one read past the refused line, and the file is not
+        walked again."""
+        monkeypatch.setattr(randomizer, "BLOCK_CELLS", 2 * WIDTH)  # reads of 20 bytes
         lines = written(CORPUS).splitlines(keepends=True)
         lines[1 + row] = "0,1,2,0,1\n"
         raw = LAYOUTS[layout]("".join(lines).encode())
         path = tmp_path / "bad.csv"
         path.write_bytes(raw)
-        read = []
+        passes = []
         chunks = corpus_io._chunks
 
         def recorded(*args):
+            passes.append([])
             for chunk in chunks(*args):
-                read.append(chunk)
+                passes[-1].append(chunk)
                 yield chunk
 
         monkeypatch.setattr(corpus_io, "_chunks", recorded)
         message = f"line {row + 2}: field 2 is '2', expected 0 or 1"
         assert on_disk(read_corpus, path) == ("CorpusFormatError", message, row + 2)
-        text = b"".join(read)
-        # the header, then whole chunks of 2 rows up to the refused one
-        assert raw.startswith(text) and len(text.splitlines()) == 1 + 2 * (row // 2 + 1)
+        # line 1 from the first chunk of one reader, then one pass over the body
+        assert len(passes) == 2
+        header, *rows = raw.splitlines(keepends=True)
+        body, text = raw[len(header) :], b"".join(passes[1])
+        assert all(chunk.endswith((b"\n", b"\r")) for chunk in passes[1])
+        refused_end = len(b"".join(rows[: row + 1]))
+        assert body.startswith(text) and refused_end <= len(text)
+        assert len(text) - refused_end < 2 * randomizer.BLOCK_CELLS
 
     @pytest.mark.parametrize(
         "relay",
@@ -170,21 +177,116 @@ def test_estimate_table_is_the_per_cell_writers_at_every_width(
         assert table == format_rows_per_cell(rows, ["pattern", "estimate"]), k
 
 
-@pytest.mark.parametrize("end", ["\r\n", "\r", "\n"], ids=["crlf", "cr", "lf"])
-def test_line_end_on_the_last_byte_of_a_read_piece(tmp_path, end):
-    """Line 1 is read in pieces of io.DEFAULT_BUFFER_SIZE bytes; a header
-    whose line end starts on a piece's last byte reads as the line parser
-    reads it, a \\r\\n split there included."""
-    head = "# width=5 m=53 pad="
-    head += "x" * (io.DEFAULT_BUFFER_SIZE - 1 - len(head))
-    path = tmp_path / "long-header.csv"
-    path.write_bytes((head + "\n" + written(CORPUS).split("\n", 1)[1]).replace("\n", end).encode())
-    assert on_disk(read_corpus, path) == on_disk(read_corpus_lines, path)
+def padded(where: str, length: int, end: str) -> bytes:
+    """The test corpus with line 1, or the body's first line, padded to
+    ``length`` bytes before its line end, and every line ended by ``end``."""
+    header, first, rest = written(CORPUS).split("\n", 2)
+    if where == "line-1":
+        header += " pad=" + "x" * (length - len(header) - len(" pad="))
+    else:  # spaces around bits are lenient
+        first = " " * (length - len(first)) + first
+    return "\n".join([header, first, rest]).replace("\n", end).encode()
+
+
+def reads_as_the_line_parser(path, raw: bytes, reader=read_corpus) -> None:
+    """``reader`` reads ``raw`` at ``path`` as :func:`read_corpus_lines` reads
+    it, and so does a copy whose last ``1`` is a ``2``: a fault whose line
+    number counts every line before it."""
+    head, _, tail = raw.rpartition(b"1")
+    for data in (raw, head + b"2" + tail):
+        path.write_bytes(data)
+        assert on_disk(reader, path) == on_disk(read_corpus_lines, path)
+    path.write_bytes(raw)
+
+
+# Each line end, with as many of its bytes before a read's last byte; a case
+# in line 1 is named by its end alone.
+READ_ENDS = {"lf": ("\n", 0), "cr": ("\r", 0), "crlf": ("\r\n", 0), "cr-run": ("\r\r\r", 0)}
+READ_ENDS["cr-run-ending"] = ("\r\r\r", 2)
+READ_CASES = {name: ("line-1", *end) for name, end in READ_ENDS.items()}
+READ_CASES.update({f"body-{name}": ("body", *end) for name, end in READ_ENDS.items()})
+
+
+@pytest.mark.parametrize("where, end, before", READ_CASES.values(), ids=list(READ_CASES))
+def test_line_end_on_the_last_byte_of_a_read_piece(tmp_path, where, end, before):
+    """Line 1 and the body are read in reads of 2·BLOCK_CELLS bytes; a line
+    whose end reaches a read's last byte reads as the line parser reads it,
+    a \\r\\n split across two reads included, and the lines after it are
+    numbered from its whole line end."""
+    path = tmp_path / "long-line.csv"
+    reads_as_the_line_parser(path, padded(where, 2 * randomizer.BLOCK_CELLS - 1 - before, end))
     assert read_corpus(path)[0] == CORPUS
-    # the body's lines are numbered from the header's whole line end
-    path.write_bytes(path.read_bytes().replace(b"1", b"2", 1))
-    got = on_disk(read_corpus, path)
-    assert got == on_disk(read_corpus_lines, path) and got[0] == "CorpusFormatError"
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("block_cells", [1, 2])
+def test_reads_shorter_than_a_row(tmp_path, monkeypatch, layout, block_cells):
+    """Reads of 2 or 4 bytes carry every row across several reads."""
+    monkeypatch.setattr(randomizer, "BLOCK_CELLS", block_cells)
+    path = tmp_path / "c.csv"
+    reads_as_the_line_parser(path, LAYOUTS[layout](written(CORPUS).encode()))
+    assert read_corpus(path)[0] == CORPUS
+
+
+@pytest.mark.parametrize("where", ["line-1", "body"])
+def test_long_line_in_short_reads(tmp_path, monkeypatch, where):
+    """A 200,000-byte line read 2 bytes at a time is joined once."""
+    monkeypatch.setattr(randomizer, "BLOCK_CELLS", 1)
+    path = tmp_path / "long-line.csv"
+    reads_as_the_line_parser(path, padded(where, 200_000, "\r\n"))
+    assert read_corpus(path)[0] == CORPUS
+
+
+class ForwardOnly(io.BytesIO):
+    """A byte stream that keeps each read and refuses to seek back."""
+
+    def __init__(self, data: bytes = b""):
+        super().__init__(data)
+        self.reads = []
+
+    def read(self, size: int = -1) -> bytes:
+        self.reads.append(super().read(size))
+        return self.reads[-1]
+
+    def seek(self, pos: int, whence: int = os.SEEK_SET) -> int:
+        before = self.tell()
+        after = super().seek(pos, whence)
+        assert after >= before, f"seek back from byte {before} to {after}"
+        return after
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_one_pass_reads_forward_only(tmp_path, monkeypatch, layout):
+    """A pass seeks only forward: an open file is read into a byte stream,
+    here one that refuses to seek back, and reads as the line parser reads
+    its bytes on disk."""
+    monkeypatch.setattr(randomizer, "BLOCK_CELLS", 3)  # reads of 6 bytes
+    monkeypatch.setattr(io, "BytesIO", ForwardOnly)
+
+    def opened(path):
+        return read_corpus(ForwardOnly(path.read_bytes()))
+
+    reads_as_the_line_parser(tmp_path / "c.csv", LAYOUTS[layout](written(CORPUS).encode()), opened)
+
+
+def test_a_read_that_ends_a_line_is_the_chunk(monkeypatch):
+    """A read that ends a line, with nothing carried into it, is yielded as
+    the same bytes object: no copy of it is made."""
+    monkeypatch.setattr(randomizer, "BLOCK_CELLS", 2 * WIDTH)  # reads of 2 rows
+    src = ForwardOnly(written(CORPUS).split("\n", 1)[1].encode())
+    chunks = list(corpus_io._chunks(src))
+    assert len(chunks) == len(src.reads) - 1 == (M + 1) // 2  # the last read is empty
+    assert all(chunk is read for chunk, read in zip(chunks, src.reads))
+
+
+def test_a_cr_on_a_reads_last_byte_ends_its_chunk_at_the_next_read(monkeypatch):
+    """A \\r on a read's last byte is seen whole once the next read begins,
+    so a CR-only body whose every read ends on its \\r is still cut a read
+    at a time, not carried to its end."""
+    monkeypatch.setattr(randomizer, "BLOCK_CELLS", WIDTH)  # reads of one row
+    body = written(CORPUS).split("\n", 1)[1].replace("\n", "\r").encode()
+    chunks = list(corpus_io._chunks(ForwardOnly(body)))
+    assert b"".join(chunks) == body and set(map(len, chunks)) == {2 * WIDTH}
 
 
 class TestStreamedRandomize:
