@@ -6,7 +6,9 @@ module only to :func:`run` a command; :func:`main` is the parser's,
 re-exported here.  This module loads numpy and the layers every command
 shares (channel, corpus I/O, estimator, randomizer); the ``privacy`` and
 ``figures`` commands import their own layers (and ``figures`` :mod:`json`)
-when they run, so no other command loads them.
+when they run, so no other command loads them.  Before numpy loads, importing
+this module sets ``OPENBLAS_NUM_THREADS=1`` unless the environment sets it,
+``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``.
 Everything reads and writes flat CSV (stdout by default), all floats carry 17
 significant digits, and every randomized path takes an explicit seed.
 
@@ -24,6 +26,11 @@ import os
 import sys
 import warnings
 from contextlib import nullcontext
+
+# numpy's OpenBLAS starts a worker per extra CPU that spins while idle, and no
+# command gives it work: run one BLAS thread unless the environment names a count.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .channel import inverse_parameter, materialize
 from .corpus_io import (
@@ -169,6 +176,8 @@ def cmd_privacy(args) -> int:
         raise ValueError("give exactly one of --a or --epsilon")
     n = check_width(args.n, 1)
     k = args.k if args.k is not None else n
+    if k > n:
+        raise ValueError(f"--k {k} exceeds --n {n}: two {n}-bit records differ in at most {n} bits")
     s = args.s if args.s is not None else 1.0 / (1 << n)
     from .privacy import a_for_epsilon, report_for_a
 

@@ -134,13 +134,25 @@ def check_invertible(a: float, name: str = "a") -> float:
     return a
 
 
-def check_squared_mass(s: float) -> float:
-    """s = sum of squared cell probabilities, strictly inside (0, 1)."""
+# How far from 1 the cells of a probability vector may sum.
+SUM_TOLERANCE = 1e-9
+
+
+def check_squared_mass(s: float, n: int | None = None) -> float:
+    """s = sum of squared cell probabilities, strictly inside (0, 1) and, given
+    the bit width n, at least 2^-n, the uniform distribution's.  Cells that sum
+    to 1 within :data:`SUM_TOLERANCE` can put s up to twice that share below
+    2^-n, so the floor gives way by three times it, which covers rounding too."""
     if not s > 0.0:
         raise ValueError(f"sum of squared probabilities must be positive, got {s}")
     if s >= 1.0:
         raise DegenerateDistributionError(
             f"sum of squared probabilities is {s}; a point mass leaves nothing "
             "to estimate and the loss is undefined"
+        )
+    if n is not None and s < math.ldexp(1.0 - 3.0 * SUM_TOLERANCE, -n):
+        raise ValueError(
+            f"sum of squared probabilities is {s}, below {math.ldexp(1.0, -n)} = 2^-{n}, "
+            f"the least a distribution on 2^{n} cells has"
         )
     return s

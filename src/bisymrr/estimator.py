@@ -30,6 +30,7 @@ import numpy as np
 from .channel import apply_kernel, inverse_parameter
 from .errors import (
     CELL_CAP,
+    SUM_TOLERANCE,
     WidthCapError,
     check_count,
     check_invertible,
@@ -59,10 +60,10 @@ def _check_counts(raw, ndims: tuple[int, ...]) -> np.ndarray:
 
 def check_distribution(pi, name: str = "pi") -> np.ndarray:
     """A probability vector, returned flat as float64: finite, non-negative
-    cells summing to 1 within 1e-9."""
+    cells summing to 1 within :data:`~bisymrr.errors.SUM_TOLERANCE`."""
     arr = np.asarray(pi, dtype=np.float64).reshape(-1)
     total = float(arr.sum())
-    if not (np.isfinite(arr).all() and (arr >= 0).all() and abs(total - 1.0) <= 1e-9):
+    if not (np.isfinite(arr).all() and (arr >= 0).all() and abs(total - 1.0) <= SUM_TOLERANCE):
         raise ValueError(
             f"{name} must be a probability distribution: finite, non-negative "
             "cells summing to 1"
@@ -221,7 +222,7 @@ def loss(s: float, a: float, n: int) -> LossReport:
         c=c,
         s=s,
         trace_cov=c - s,
-        loss_L=efficiency_loss(s, c),
+        loss_L=efficiency_loss(check_squared_mass(s, n), c),
         loss_floor=efficiency_loss(1.0 / (1 << n), c),
         loss_approx=flat_average_loss(a, n),
     )

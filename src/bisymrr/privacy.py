@@ -20,6 +20,7 @@ from .errors import (
     check_budget,
     check_count,
     check_probability,
+    check_squared_mass,
 )
 from .estimator import efficiency_loss
 
@@ -105,5 +106,5 @@ def report_for_a(a: float, k: int, n: int, s: float) -> PrivacyReport:
         n=n,
         s=s,
         c_at_alpha=c,
-        loss_at_alpha=efficiency_loss(s, c),
+        loss_at_alpha=efficiency_loss(check_squared_mass(s, n), c),
     )

@@ -285,6 +285,28 @@ class TestLoss:
         code, _, _ = run(capsys, "loss", "--a", "0.5", "--n", "2", "--s", "0.4")
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["loss", "privacy"])
+    def test_s_below_the_uniform_distributions_exits_2(self, capsys, command):
+        """No distribution on 2^n cells has s < 2^-n; such an s once printed a
+        loss below the report's own floor."""
+        code, out, err = run(capsys, command, "--a", "0.75", "--n", "3", "--s", "0.01")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: sum of squared probabilities is 0.01, below 0.125 = 2^-3, "
+            "the least a distribution on 2^3 cells has\n"
+        )
+
+    @pytest.mark.parametrize("cell", ["0.125", "0.1249999999"], ids=["uniform", "near-uniform"])
+    def test_pi_file_at_the_floor_passes(self, tmp_path, capsys, cell):
+        """Cells summing to 1 within the distribution check's tolerance can put
+        s a little below 2^-n; the floor gives way by that much."""
+        pi_file = tmp_path / "pi.csv"
+        pi_file.write_text(" ".join([cell] * 8) + "\n")
+        code, out, _ = run(capsys, "loss", "--a", "0.75", "--n", "3", "--pi", str(pi_file))
+        got = parse_keyvals(out)
+        assert code == 0 and float(got["s"]) <= 0.125
+        assert float(got["loss_L"]) == pytest.approx(float(got["loss_floor"]), rel=1e-8)
+
 
 class TestPrivacy:
     def test_epsilon_inverts_to_a(self, capsys):
@@ -312,6 +334,14 @@ class TestPrivacy:
     def test_coin_flip_exits_3(self, capsys):
         code, _, _ = run(capsys, "privacy", "--a", "0.5", "--n", "1")
         assert code == 3
+
+    @pytest.mark.parametrize("dial", [("--a", "0.75"), ("--epsilon", "1")], ids=["a", "epsilon"])
+    def test_k_above_n_exits_2(self, capsys, dial):
+        """Two n-bit records differ in at most n bits, so no report covers more."""
+        code, out, err = run(capsys, "privacy", *dial, "--n", "3", "--k", "5")
+        assert (code, out) == (2, "")
+        assert err == "error: --k 5 exceeds --n 3: two 3-bit records differ in at most 3 bits\n"
+        assert run(capsys, "privacy", *dial, "--n", "3", "--k", "3")[0] == 0
 
 
 class TestFigures:
@@ -792,6 +822,65 @@ class TestBrokenPipe:
         assert proc.stdout == "# figure=2a n=1\n"
         assert "Exception ignored" not in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestBlasThreads:
+    """A command process runs OpenBLAS on one thread unless its environment
+    names a thread count, which it then leaves as it found it."""
+
+    NAMES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+    def child(self, argv, **names):
+        """Run ``main(argv)`` in a fresh process whose environment sets only
+        ``names`` of the three; return its exit code, its thread count, whether
+        it loaded numpy and the three variables as it ends."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        probe = (
+            "import json, os, sys; from bisymrr.parser import main; code = main(sys.argv[1:]); "
+            "status = open('/proc/self/status').read().split('Threads:')[1].split()[0]; "
+            f"names = {self.NAMES!r}; "
+            "print(json.dumps([code, int(status), 'numpy' in sys.modules, "
+            "{n: os.environ.get(n) for n in names}]))"
+        )
+        env = {k: v for k, v in os.environ.items() if k not in self.NAMES}
+        env.update(names, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *argv],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    @pytest.fixture(autouse=True)
+    def needs_proc(self):
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("no /proc/self/status to count threads in")
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        path = tmp_path / "lf.csv"
+        path.write_text("# width=2 m=3 a=0.75\n0,1\n1,1\n0,0\n")
+        return path
+
+    def test_a_command_holds_one_thread(self, corpus, tmp_path):
+        out = str(tmp_path / "estimate.csv")
+        code, threads, numpy_loaded, names = self.child(["estimate", str(corpus), "--out", out])
+        assert (code, threads, numpy_loaded) == (0, 1, True)
+        assert names == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+
+    @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_a_count_the_user_sets_is_kept(self, corpus, tmp_path, name):
+        out = str(tmp_path / "estimate.csv")
+        code, _, _, names = self.child(["estimate", str(corpus), "--out", out], **{name: "2"})
+        assert code == 0
+        assert names == {n: "2" if n == name else None for n in self.NAMES}
+
+    def test_help_loads_no_numpy_and_sets_nothing(self):
+        code, _, numpy_loaded, names = self.child(["--help"])
+        assert (code, numpy_loaded) == (0, False)
+        assert names == dict.fromkeys(self.NAMES)
 
 
 # Layouts the writer never produces but the reader accepts, each applied to a

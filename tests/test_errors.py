@@ -191,6 +191,25 @@ def test_squared_mass(value, expected):
 
 
 @pytest.mark.parametrize(
+    "value,n,expected",
+    [
+        (0.25, 2, None),
+        (0.25 * (1.0 - 2e-9), 2, None),
+        (0.25 * (1.0 - 4e-9), 2, ValueError),
+        (0.01, 3, ValueError),
+        (2.0**-1023, 1023, None),
+        (2.0**-1024, 1023, ValueError),
+        (NAN, 2, ValueError),
+        (1.0, 0, DegenerateDistributionError),
+    ],
+)
+def test_squared_mass_at_width(value, n, expected):
+    """At width n, s is at least 2^-n, less the slack a distribution summing
+    to 1 within its tolerance needs."""
+    assert outcome(check_squared_mass, value, n) is expected
+
+
+@pytest.mark.parametrize(
     "value,expected",
     [
         ([NAN, 1.0], ValueError),

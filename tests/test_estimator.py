@@ -309,7 +309,14 @@ class TestLoss:
 
     @pytest.mark.parametrize("s", [0.05, 0.3, 0.6, 0.99])
     def test_no_randomization_no_loss(self, s):
-        assert loss(s, 1.0, 3).loss_L == pytest.approx(1.0, abs=1e-12)
+        assert loss(s, 1.0, 5).loss_L == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3, 12])
+    def test_s_below_the_uniform_distributions_rejected(self, n):
+        floor = 1.0 / (1 << n)
+        assert loss(floor, 0.75, n).loss_L == loss(floor, 0.75, n).loss_floor
+        with pytest.raises(ValueError, match=f"below {floor} = 2\\^-{n}"):
+            loss(floor * (1.0 - 1e-8), 0.75, n)
 
     def test_point_mass_rejected(self):
         with pytest.raises(DegenerateDistributionError):

@@ -164,6 +164,11 @@ class TestReports:
         rep = report_for_a(0.8, k=4, n=2, s=0.25)
         assert rep.epsilon_total == pytest.approx(4 * rep.epsilon_per_bit, rel=1e-15)
 
+    def test_report_for_a_rejects_s_below_the_uniform_distributions(self):
+        assert report_for_a(0.75, k=3, n=3, s=0.125).s == 0.125
+        with pytest.raises(ValueError, match="below 0.125 = 2\\^-3"):
+            report_for_a(0.75, k=3, n=3, s=0.01)
+
     def test_report_for_a_rejects_coin_flip(self):
         with pytest.raises(SingularChannelError, match="useless"):
             report_for_a(0.5, k=1, n=1, s=0.5)
