@@ -67,19 +67,25 @@ def build_figure(which: str, cfg):
     return figures.build_figure(which, cfg)
 
 
-def _mechanism_from_args(args, required: bool = True):
-    """One mechanism from --a / --mechanism; both at once is ambiguous."""
-    has_a = getattr(args, "a", None) is not None
-    has_mech = getattr(args, "mechanism", None) is not None
-    if has_a and has_mech:
-        raise ValueError("give either --a or --mechanism, not both")
-    if has_a:
+def _mechanism_from_args(args):
+    """The mechanism ``--a`` or ``--mechanism`` names (the parser takes at
+    most one of them), or None."""
+    if args.a is not None:
         return Mechanism("direct", (args.a,))
-    if has_mech:
+    if args.mechanism is not None:
         return parse_mechanism(args.mechanism)
-    if required:
-        raise ValueError("one of --a or --mechanism is required")
     return None
+
+
+def _header_a(meta) -> float | None:
+    """The ``a=`` a corpus header records, checked, or None if it has none."""
+    if "a" not in meta:
+        return None
+    try:
+        a = float(meta["a"])
+    except ValueError:
+        raise CorpusFormatError(f"header value a={meta['a']} is not a number", line=1) from None
+    return check_probability(a, "a")
 
 
 def _write_keyvals(args, fields: dict) -> int:
@@ -111,7 +117,10 @@ def cmd_randomize(args) -> int:
     a = effective_a(spec)
     seed = RandomSeed(args.seed, args.stream)
     check_probability(a, "a")
-    meta.update(a=a, mechanism=spec, seed=args.seed, stream=args.stream)
+    # a flip of a flipped corpus is one flip: its a is the whole channel from the originals
+    before = _header_a(meta)
+    whole = a if before is None else before * a + (1 - before) * (1 - a)
+    meta.update(a=whole, mechanism=spec, seed=args.seed, stream=args.stream)
     gen = seed.generator()
     with _writing(args.out if args.out else sys.stdout) as out:
         _write_rows(out, width, m, meta, (_flip(block, a, gen) for block in rows()))
@@ -120,15 +129,9 @@ def cmd_randomize(args) -> int:
 
 def cmd_estimate(args) -> int:
     corpus, meta = read_corpus(args.input)
-    spec = _mechanism_from_args(args, required=False)
-    if spec is not None:
-        a = effective_a(spec)
-    elif "a" in meta:
-        try:
-            a = float(meta["a"])
-        except ValueError:
-            raise CorpusFormatError(f"header value a={meta['a']} is not a number", line=1) from None
-    else:
+    spec = _mechanism_from_args(args)
+    a = effective_a(spec) if spec is not None else _header_a(meta)
+    if a is None:
         raise ValueError(
             "no channel parameter: give --a or --mechanism, or estimate from "
             "a corpus whose header records a="
@@ -156,8 +159,6 @@ def cmd_estimate(args) -> int:
 def cmd_loss(args) -> int:
     a = effective_a(_mechanism_from_args(args))
     n = check_width(args.n, 1)
-    if (args.s is None) == (args.pi is None):
-        raise ValueError("give exactly one of --s or --pi")
     if args.pi is not None:
         pi = check_distribution(read_vector(args.pi))
         if pi.size != 1 << n:
@@ -172,8 +173,6 @@ def cmd_loss(args) -> int:
 
 
 def cmd_privacy(args) -> int:
-    if (args.a is None) == (args.epsilon is None):
-        raise ValueError("give exactly one of --a or --epsilon")
     n = check_width(args.n, 1)
     k = args.k if args.k is not None else n
     if k > n:
@@ -202,7 +201,7 @@ def cmd_figures(args) -> int:
                 f"bad config file: expected a JSON object, got {type(config).__name__}"
             )
     flags = {key: getattr(args, key) for key in ("n", "m", "trials", "pi", "seed", "stream", "k")}
-    flags["mechanism"] = _mechanism_from_args(args, required=False)
+    flags["mechanism"] = _mechanism_from_args(args)
     # flags override the config file; a null value, like an absent flag, sets nothing
     given = (item for source in (config, flags) for item in source.items())
     settings = {key: value for key, value in given if value is not None}

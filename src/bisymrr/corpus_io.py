@@ -346,11 +346,11 @@ def _cell_digits(n: int, cells: slice = slice(None)) -> np.ndarray:
     return (index[:, None] >> np.arange(n) & 1).astype(np.uint8) + ord("0")
 
 
-def _cell_labels(n: int, cells: slice = slice(None)) -> list[str]:
-    """Bit pattern of each of the 2^n cells (or of a slice of them), lowest bit first."""
+def _cell_labels(n: int) -> list[str]:
+    """Bit pattern of each of the 2^n cells, lowest bit first."""
     if n == 0:
         return [""]
-    return _cell_digits(n, cells).view(f"S{n}").ravel().astype(str).tolist()
+    return _cell_digits(n).view(f"S{n}").ravel().astype(str).tolist()
 
 
 # Cells formatted by one % call: enough to amortize the call, few enough that

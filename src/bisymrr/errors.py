@@ -9,8 +9,8 @@ The size caps live here too (:data:`MAX_WIDTH`, :data:`CELL_CAP`,
 :data:`DENSE_CAP`, :data:`FIGURE_1A_CAP`), so the argument parser can quote
 them in its help.  This module imports no numpy: the package namespace, the
 parser and :mod:`~bisymrr.surveys` load only it, which keeps ``--help`` and
-the errors argparse raises itself from loading numpy (:mod:`~bisymrr.parser`
-names the usage errors that come after it).
+every usage error, flag pairs given both or neither included, from loading
+numpy.
 """
 
 import math

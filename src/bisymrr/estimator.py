@@ -58,14 +58,14 @@ def _check_counts(raw, ndims: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
-def check_distribution(pi, name: str = "pi") -> np.ndarray:
+def check_distribution(pi) -> np.ndarray:
     """A probability vector, returned flat as float64: finite, non-negative
     cells summing to 1 within :data:`~bisymrr.errors.SUM_TOLERANCE`."""
     arr = np.asarray(pi, dtype=np.float64).reshape(-1)
     total = float(arr.sum())
     if not (np.isfinite(arr).all() and (arr >= 0).all() and abs(total - 1.0) <= SUM_TOLERANCE):
         raise ValueError(
-            f"{name} must be a probability distribution: finite, non-negative "
+            "pi must be a probability distribution: finite, non-negative "
             "cells summing to 1"
         )
     return arr

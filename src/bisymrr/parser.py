@@ -1,23 +1,19 @@
 """The command line's argument parser, which imports no numpy.
 
 :func:`main` parses first and imports :mod:`bisymrr.cli`, and with it numpy
-and the layers of the package that command needs, only to run a command, so
-``--help``, each subcommand's ``--help`` and every error argparse raises
-itself load no more than this module, :mod:`argparse`,
-:mod:`~bisymrr.errors` and :mod:`~bisymrr.surveys`.  So every table the help
-quotes lives in one of these: the size caps in ``errors``, the mechanism
-specs in ``surveys``, and the settings each figure reads in
-:data:`FIGURE_DEFAULTS`, here.  Every command is listed with its help line,
-but only the commands a command line names get their arguments built.  A pair
-of flags given both or neither (``--a`` and ``--mechanism``, ``--s`` and
-``--pi``, ``--a`` and ``--epsilon``) is a usage error that
-:mod:`bisymrr.cli` raises, after numpy has loaded.
+and the layers that command needs, only to run a command, so ``--help``, each
+subcommand's ``--help`` and every usage error, flag pairs included, load no
+more than this module, :mod:`argparse`, :mod:`~bisymrr.errors` and
+:mod:`~bisymrr.surveys`.  So every table the help quotes lives in one of these:
+the size caps in ``errors``, the mechanism specs in ``surveys``, and the
+settings each figure reads in :data:`FIGURE_DEFAULTS`, here.  Each pair of
+flags naming one setting two ways (``--a``/``--mechanism``, ``--s``/``--pi``,
+``--a``/``--epsilon``) is a mutually exclusive group.
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
 
 from .errors import CELL_CAP, DENSE_CAP, FIGURE_1A_CAP
 from .surveys import mechanism_forms
@@ -42,16 +38,18 @@ def _matrix(p: argparse.ArgumentParser) -> None:
 
 def _randomize(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="corpus file ('# width=.. m=..' header + bit rows)")
-    p.add_argument("--a", type=float, help="per-bit truth probability")
-    p.add_argument("--mechanism", help=f"mechanism spec: one of {mechanism_forms()}")
+    dial = p.add_mutually_exclusive_group(required=True)
+    dial.add_argument("--a", type=float, help="per-bit truth probability")
+    dial.add_argument("--mechanism", help=f"mechanism spec: one of {mechanism_forms()}")
     p.add_argument("--seed", type=int, default=0, help="randomness seed")
     p.add_argument("--stream", type=int, default=0, help="substream id")
 
 
 def _estimate(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="randomized corpus file")
-    p.add_argument("--a", type=float, help="channel parameter (default: corpus header)")
-    p.add_argument("--mechanism", help="mechanism spec instead of --a")
+    dial = p.add_mutually_exclusive_group()
+    dial.add_argument("--a", type=float, help="channel parameter (default: corpus header)")
+    dial.add_argument("--mechanism", help="mechanism spec instead of --a")
     p.add_argument(
         "--bits", help="comma-separated bit positions, increasing (default: all)"
     )
@@ -63,16 +61,19 @@ def _estimate(p: argparse.ArgumentParser) -> None:
 
 
 def _loss(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--a", type=float, help="per-bit truth probability")
-    p.add_argument("--mechanism", help="mechanism spec instead of --a")
+    dial = p.add_mutually_exclusive_group(required=True)
+    dial.add_argument("--a", type=float, help="per-bit truth probability")
+    dial.add_argument("--mechanism", help="mechanism spec instead of --a")
     p.add_argument("--n", type=int, required=True, help="bit width")
-    p.add_argument("--s", type=float, help="sum of squared cell probabilities")
-    p.add_argument("--pi", help="file with the distribution (s computed from it)")
+    mass = p.add_mutually_exclusive_group(required=True)
+    mass.add_argument("--s", type=float, help="sum of squared cell probabilities")
+    mass.add_argument("--pi", help="file with the distribution (s computed from it)")
 
 
 def _privacy(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--a", type=float, help="per-bit truth probability")
-    p.add_argument("--epsilon", type=float, help="total budget to invert")
+    dial = p.add_mutually_exclusive_group(required=True)
+    dial.add_argument("--a", type=float, help="per-bit truth probability")
+    dial.add_argument("--epsilon", type=float, help="total budget to invert")
     p.add_argument("--k", type=int, help="max differing bits (default: n)")
     p.add_argument("--n", type=int, required=True, help="bit width")
     p.add_argument(
@@ -94,10 +95,11 @@ def _figures(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, help="responses per trial")
     p.add_argument("--trials", type=int, help="number of trials")
     p.add_argument("--pi", help="comma-separated distribution or 'dirichlet-flat'")
-    p.add_argument(
+    dial = p.add_mutually_exclusive_group()
+    dial.add_argument(
         "--mechanism", help=f"mechanism spec (default {FIGURE_DEFAULTS['1a']['mechanism']})"
     )
-    p.add_argument("--a", type=float, help="shortcut for --mechanism direct:<a>")
+    dial.add_argument("--a", type=float, help="shortcut for --mechanism direct:<a>")
     p.add_argument("--seed", type=int, help="randomness seed")
     p.add_argument("--stream", type=int, help="substream id")
     p.add_argument("--k", type=int, help="max differing bits for budget-indexed data")
@@ -117,11 +119,8 @@ _COMMANDS = {
 }
 
 
-def _build_parser(named=None) -> argparse.ArgumentParser:
-    """The parser of all six commands, with the arguments of those in
-    ``named`` (of every one if None): a command line can only run a command
-    it names, and the top-level help and errors list every command by its
-    help line alone."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of all six commands."""
     parser = argparse.ArgumentParser(
         prog="bisymrr",
         description=(
@@ -142,19 +141,17 @@ def _build_parser(named=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
-        if named is None or name in named:
-            add_arguments(p)
-            p.add_argument("--out", help="output path (default stdout)")
+        add_arguments(p)
+        p.add_argument("--out", help="output path (default stdout)")
     return parser
 
 
 def main(argv=None) -> int:
     """Parse ``argv`` (default ``sys.argv[1:]``), run its command and return
     the exit code; a run that ends in argparse exits 0 or 2 without loading
-    numpy.  Only the commands ``argv`` names get their arguments built."""
-    argv = sys.argv[1:] if argv is None else list(argv)
+    numpy."""
     try:
-        args = _build_parser(set(argv)).parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return 0 if code is None else (code if isinstance(code, int) else 2)

@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from bisymrr import (
 )
 from bisymrr import corpus_io, estimator, parser, surveys
 from bisymrr.cli import main
-from bisymrr.corpus_io import mechanism_text
+from bisymrr.corpus_io import format_float, mechanism_text
 from bisymrr.parser import FIGURE_DEFAULTS
 from bisymrr.surveys import _MECHANISMS
 
@@ -69,6 +70,13 @@ def parse_keyvals(text):
     lines = text.splitlines()
     assert lines[0] == "key,value"
     return dict(line.split(",") for line in lines[1:])
+
+
+def usage_error_flags(err):
+    """The flags named on the error line that ends an argparse usage error."""
+    line = err.splitlines()[-1]
+    assert re.match(r"bisymrr \w+: error: ", line)
+    return set(re.findall(r"--\w+", line))
 
 
 class TestMatrix:
@@ -130,7 +138,52 @@ class TestRandomize:
             capsys, "randomize", str(path), "--a", "0.75", "--mechanism", "warner:0.7"
         )
         assert code == 2
-        assert "not both" in err
+        assert usage_error_flags(err) == {"--a", "--mechanism"}
+
+    def test_rerandomizing_records_the_whole_channel(self, tmp_path, capsys):
+        """Two flips compose into one, at ``a_in·a + (1 − a_in)(1 − a)``; the
+        header records that, and this run's own mechanism, seed and stream."""
+        path = tmp_path / "flipped.csv"
+        path.write_text("# width=2 m=2 a=0.80000000000000004 seed=3\n0,1\n1,1\n")
+        code, out, _ = run(capsys, "randomize", str(path), "--a", "0.9", "--seed", "5")
+        assert code == 0
+        whole = format_float(0.8 * 0.9 + (1 - 0.8) * (1 - 0.9))
+        mechanism = f"direct:{format_float(0.9)}"
+        assert out.splitlines()[0] == (
+            f"# width=2 m=2 a={whole} seed=5 mechanism={mechanism} stream=0"
+        )
+
+    def test_twice_randomized_corpus_estimates_the_truth(self, tmp_path, capsys):
+        """Estimating at the second run's ``a`` alone would put the ones near
+        0.32 here, some 17 standard errors from the truth."""
+        m, pi = 20000, np.array([0.8, 0.2])
+        path = truthful_corpus_file(tmp_path, pi, m, 1)
+        for a, seed in (("0.8", "1"), ("0.9", "2")):
+            flipped = tmp_path / f"flipped-{a}.csv"
+            code, _, _ = run(
+                capsys, "randomize", str(path), "--a", a, "--seed", seed, "--out", str(flipped)
+            )
+            assert code == 0
+            path = flipped
+        code, out, _ = run(capsys, "estimate", str(path))
+        assert code == 0
+        _, got = parse_estimate(out)
+        a = 0.8 * 0.9 + 0.2 * 0.1
+        q = a * pi[1] + (1 - a) * pi[0]  # chance a record reads 1
+        se = math.sqrt(q * (1 - q) / m) / (2 * a - 1)
+        assert abs(got["1"] - pi[1]) < 5 * se and abs(got["0"] - pi[0]) < 5 * se
+
+    @pytest.mark.parametrize(
+        "value, code, message",
+        [("1.5", 2, "a must lie in [0, 1], got 1.5"),
+         ("x", 4, "line 1: header value a=x is not a number")],
+        ids=["outside", "no-number"],
+    )
+    def test_bad_header_a_is_refused_not_composed(self, tmp_path, capsys, value, code, message):
+        path = tmp_path / "bad-a.csv"
+        path.write_text(f"# width=1 m=2 a={value}\n0\n1\n")
+        got = run(capsys, "randomize", str(path), "--a", "0.9")
+        assert got == (code, "", f"error: {message}\n")
 
     def test_parse_error_exits_4(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -279,7 +332,7 @@ class TestLoss:
             capsys, "loss", "--a", "0.75", "--n", "1", "--s", "0.5", "--pi", str(pi_file)
         )
         assert code == 2
-        assert "exactly one" in err
+        assert usage_error_flags(err) == {"--s", "--pi"}
 
     def test_singular_exits_3(self, capsys):
         code, _, _ = run(capsys, "loss", "--a", "0.5", "--n", "2", "--s", "0.4")
@@ -329,7 +382,7 @@ class TestPrivacy:
     def test_both_dials_conflict(self, capsys):
         code, _, err = run(capsys, "privacy", "--a", "0.75", "--epsilon", "1", "--n", "1")
         assert code == 2
-        assert "exactly one" in err
+        assert usage_error_flags(err) == {"--a", "--epsilon"}
 
     def test_coin_flip_exits_3(self, capsys):
         code, _, _ = run(capsys, "privacy", "--a", "0.5", "--n", "1")
@@ -527,15 +580,32 @@ class TestTopLevel:
         assert "error" in err
 
     @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["randomize", "c.csv"], {"--a", "--mechanism"}),
+            (["loss", "--n", "2"], {"--a", "--mechanism"}),
+            (["loss", "--a", "0.75", "--n", "1"], {"--s", "--pi"}),
+            (["privacy", "--n", "1"], {"--a", "--epsilon"}),
+        ],
+        ids=["randomize", "loss-a-mechanism", "loss-s-pi", "privacy"],
+    )
+    def test_flag_pair_given_neither_way_exits_2(self, capsys, argv, flags):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert usage_error_flags(err) == flags
+
+    @pytest.mark.parametrize(
         "argv",
         [["--help"], ["frobnicate"], [], ["-h", "estimate"], ["estimate", "x", "--bogus"]]
+        + [["loss", "--n", "2"], ["randomize", "x", "--a", "1", "--mechanism", "direct:1"]]
         + [[command, "--help"] for command in COMMANDS]
         + [[command] for command in COMMANDS],
         ids=lambda argv: " ".join(argv) or "nothing",
     )
     def test_help_and_usage_errors_are_the_full_parsers(self, capsys, argv):
-        """``main`` builds only the arguments of the commands a command line
-        names; what argparse prints and returns must not show it."""
+        """``main`` parses with the one full parser, so every usage error,
+        flag pairs given both or neither included, is argparse's own and
+        ends before numpy loads: what it prints and returns is the parser's."""
         got = (main(argv), *capsys.readouterr())
         with pytest.raises(SystemExit) as end:
             parser._build_parser().parse_args(argv)
@@ -798,7 +868,7 @@ class TestClosedHoles:
             capsys, "figures", "2a", "--a", "0.75", "--mechanism", "warner:0.7"
         )
         assert code == 2
-        assert "not both" in err
+        assert usage_error_flags(err) == {"--a", "--mechanism"}
 
 
 class TestBrokenPipe:

@@ -40,8 +40,10 @@ def imported_modules(*args: str) -> tuple[int, set[str]]:
         (("-m", "bisymrr", "--help"), 0),
         (("-m", "bisymrr", "figures", "--help"), 0),
         (("-m", "bisymrr", "estimate"), 2),
+        (("-m", "bisymrr", "loss", "--n", "2"), 2),
+        (("-m", "bisymrr", "randomize", "c.csv", "--a", "0.7", "--mechanism", "direct:0.7"), 2),
     ],
-    ids=["import", "help", "figures-help", "usage-error"],
+    ids=["import", "help", "figures-help", "usage-error", "flag-pair-neither", "flag-pair-both"],
 )
 def test_start_imports_no_numpy(args, code):
     got, modules = imported_modules(*args)
