@@ -142,9 +142,14 @@ def check_squared_mass(s: float, n: int | None = None) -> float:
     """s = sum of squared cell probabilities, strictly inside (0, 1) and, given
     the bit width n, at least 2^-n, the uniform distribution's.  Cells that sum
     to 1 within :data:`SUM_TOLERANCE` can put s up to twice that share below
-    2^-n, so the floor gives way by three times it, which covers rounding too."""
+    2^-n or above 1, so each bound gives way by three times it (which covers
+    rounding too), and an s that close above 1 is a point mass."""
+    if s != s:
+        raise ValueError(f"sum of squared probabilities must be a number, got {s}")
     if not s > 0.0:
         raise ValueError(f"sum of squared probabilities must be positive, got {s}")
+    if s > 1.0 + 3.0 * SUM_TOLERANCE:
+        raise ValueError(f"sum of squared probabilities is {s}, above 1, the most any distribution has")
     if s >= 1.0:
         raise DegenerateDistributionError(
             f"sum of squared probabilities is {s}; a point mass leaves nothing "

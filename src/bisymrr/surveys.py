@@ -6,8 +6,8 @@ full modes each report every bit truthfully with some effective probability
 ``a``: :data:`_MECHANISMS` names each one's fields and the ``a`` they fix, a
 :class:`Mechanism` is one name from that table with its parameters, and
 :func:`parse_mechanism` reads the ``name:value,...`` specs the CLI takes.
-This module imports no numpy, so the argument parser can list the specs in
-its help without loading it.
+This module imports neither numpy nor dataclasses (which loads inspect), so
+the argument parser can list the specs in its help without loading them.
 
 Both classic designs reduce to bit-flip channels, so each has a cost constant
 c in its own dial p; comparing them parameter-by-parameter is what
@@ -20,7 +20,7 @@ of the dials, not a real difference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import SingularChannelError, check_count, check_invertible, check_probability
 
@@ -65,23 +65,26 @@ def _entry(name: str) -> tuple:
     return _MECHANISMS[name]
 
 
-@dataclass(frozen=True)
-class Mechanism:
+class Mechanism(namedtuple("Mechanism", "name params")):
     """One dial of the family: a mechanism of :data:`_MECHANISMS` and its
-    parameters, floats in [0, 1] in the table's field order."""
+    parameters, floats in [0, 1] in the table's field order, checked however
+    it is built (``_make``, ``_replace``, copy and pickle call ``__new__``)."""
 
-    name: str
-    params: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        fields, params = _entry(self.name)[0], tuple(self.params)
+    def __new__(cls, name: str, params: tuple[float, ...]):
+        fields, params = _entry(name)[0], tuple(params)
         if len(params) != len(fields):
             raise ValueError(
-                f"mechanism {self.name!r} takes {len(fields)} parameter(s) "
+                f"mechanism {name!r} takes {len(fields)} parameter(s) "
                 f"({', '.join(fields)}), got {len(params)}"
             )
         checked = tuple(float(check_probability(v, f)) for f, v in zip(fields, params))
-        object.__setattr__(self, "params", checked)
+        return super().__new__(cls, name, checked)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def effective_a(spec: Mechanism) -> float:

@@ -214,7 +214,9 @@ def test_criterion_09_materialize_cost_per_added_bit():
     def per_call(n: int, number: int) -> float:
         return timeit.timeit(lambda: materialize(0.75, n), number=number) / number
 
-    numbers = {n: max(1, int(0.05 / max(per_call(n, 1), 1e-9))) for n in widths}
+    # Each width's call count follows from its entry count, 4^(10-n) calls of
+    # 4^n entries, so no single slow call can set it.
+    numbers = {n: 4 ** max(0, 10 - n) for n in widths}
     times = dict.fromkeys(widths, math.inf)
     # Each repeat times every width once, so a host slowdown lasting seconds
     # spreads over all widths instead of landing on whichever was being timed.

@@ -349,6 +349,23 @@ class TestLoss:
             "the least a distribution on 2^3 cells has\n"
         )
 
+    @pytest.mark.parametrize("command", ["loss", "privacy"])
+    @pytest.mark.parametrize(
+        "s, message",
+        [
+            ("2", "is 2.0, above 1, the most any distribution has"),
+            ("inf", "is inf, above 1, the most any distribution has"),
+            ("nan", "must be a number, got nan"),
+            ("1", "is 1.0; a point mass leaves nothing to estimate and the loss is undefined"),
+        ],
+        ids=["above-1", "inf", "nan", "point-mass"],
+    )
+    def test_s_no_distribution_has_exits_2(self, capsys, command, s, message):
+        """An s above 1 or NaN is no distribution's, not a point mass or a
+        sign error; an s of 1 is a point mass."""
+        code, out, err = run(capsys, command, "--a", "0.75", "--n", "3", "--s", s)
+        assert (code, out, err) == (2, "", f"error: sum of squared probabilities {message}\n")
+
     @pytest.mark.parametrize("cell", ["0.125", "0.1249999999"], ids=["uniform", "near-uniform"])
     def test_pi_file_at_the_floor_passes(self, tmp_path, capsys, cell):
         """Cells summing to 1 within the distribution check's tolerance can put

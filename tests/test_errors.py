@@ -175,12 +175,14 @@ def test_invertible(value, expected):
     "value,expected",
     [
         (NAN, ValueError),
-        (INF, DegenerateDistributionError),
+        (INF, ValueError),
         (-INF, ValueError),
         (-1.0, ValueError),
-        (2.5, DegenerateDistributionError),
+        (2.5, ValueError),
         (0.0, ValueError),
         (1.0, DegenerateDistributionError),
+        (1.0 + 2e-9, DegenerateDistributionError),
+        (1.0 + 4e-9, ValueError),
         (5e-324, None),
         (0.5, None),
         (1.0 - 2.0**-53, None),

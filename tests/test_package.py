@@ -50,6 +50,8 @@ def test_start_imports_no_numpy(args, code):
     assert got == code
     assert "bisymrr" in modules
     assert not {m for m in modules if m.partition(".")[0] == "numpy"}
+    # dataclasses loads inspect, ast, dis and tokenize: half of --help's import time
+    assert not {"dataclasses", "inspect"} & modules
     assert {m for m in modules if m.partition(".")[0] == "bisymrr"} <= NUMPY_FREE
 
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import zlib
 
 import numpy as np
@@ -67,6 +69,29 @@ class TestEffectiveA:
         assert spec == Mechanism("rappor", (1.0, 0.75))
         assert type(spec.params) is tuple
         assert all(type(x) is float for x in spec.params)
+
+    def test_spec_is_an_immutable_hashable_record(self):
+        spec = Mechanism("direct", (0.7,))
+        with pytest.raises(AttributeError):
+            spec.name = "warner"
+        assert hash(spec) == hash(Mechanism("direct", [np.float64(0.7)]))
+        assert repr(spec) == "Mechanism(name='direct', params=(0.7,))"
+
+    # copy and pickle rebuild a spec from its fields; tuple.__new__ alone can
+    # build one that skips the checks, to show that they run again
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Mechanism("direct", (0.7,))._replace(params=(1.2,)),
+            lambda: Mechanism._make(["direct", (1.2,)]),
+            lambda: copy.copy(tuple.__new__(Mechanism, ("direct", (1.2,)))),
+            lambda: pickle.loads(pickle.dumps(tuple.__new__(Mechanism, ("direct", (1.2,))))),
+        ],
+        ids=["replace", "make", "copy", "pickle"],
+    )
+    def test_every_way_to_build_a_spec_checks_it(self, build):
+        with pytest.raises(ValueError, match=r"^a must lie in \[0, 1\], got 1.2$"):
+            build()
 
     def test_rappor_full_accepts_matching_p(self):
         assert parse_mechanism("rappor:f=0.5,q=0.75,p=0.25") == Mechanism("rappor", (0.5, 0.75))
