@@ -72,7 +72,7 @@ class ExperimentConfig:
     ``pi`` is either an explicit distribution over 2^n cells or the string
     ``"dirichlet-flat"`` asking the harness to draw π itself.  ``k`` is the
     bounded Hamming distance for budget-indexed figures (per-bit budgets at
-    the default 1).
+    the default 1), at most ``n``.
     """
 
     n: int = 2
@@ -86,6 +86,10 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("n", "m", "trials", "k"):
             object.__setattr__(self, name, check_count(getattr(self, name), name, 1))
+        if self.k > self.n:
+            raise ValueError(
+                f"k {self.k} exceeds n {self.n}: two {self.n}-bit records differ in at most {self.n} bits"
+            )
         if not isinstance(self.pi, str):
             try:
                 arr = np.asarray(self.pi, dtype=np.float64).reshape(-1)

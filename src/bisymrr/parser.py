@@ -14,6 +14,8 @@ flags naming one setting two ways (``--a``/``--mechanism``, ``--s``/``--pi``,
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 
 from .errors import CELL_CAP, DENSE_CAP, FIGURE_1A_CAP
 from .surveys import mechanism_forms
@@ -149,7 +151,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Parse ``argv`` (default ``sys.argv[1:]``), run its command and return
     the exit code; a run that ends in argparse exits 0 or 2 without loading
-    numpy."""
+    numpy.  Parsing the process's own command line (``argv`` None) also
+    freezes the collector at exit, so shutdown skips the full collections
+    over every object numpy and the command made; the OS reclaims them."""
+    if argv is None:
+        atexit.register(gc.freeze)
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

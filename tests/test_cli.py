@@ -461,6 +461,29 @@ class TestFigures:
         assert (code, out, err) == (2, "", f"error: figure {which} reads no setting {key}\n")
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "flags, config, n, k",
+        [
+            (["--n", "1", "--k", "2"], None, 1, 2),
+            ([], {"n": 2, "k": 3}, 2, 3),
+            (["--k", "4"], {"n": 3}, 3, 4),
+        ],
+        ids=["flags", "config", "config-and-flag"],
+    )
+    def test_2b_k_above_n_exits_2(self, tmp_path, capsys, flags, config, n, k):
+        """Two n-bit records differ in at most n bits, as ``privacy`` says too."""
+        given = list(flags)
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            given += ["--config", str(cfg)]
+        path = tmp_path / "fig.csv"
+        code, out, err = run(capsys, "figures", "2b", *given, "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: k {k} exceeds n {n}: two {n}-bit records differ in at most {n} bits\n"
+        assert not path.exists()
+        assert run(capsys, "figures", "2b", "--n", str(n), "--k", str(n))[0] == 0
+
     @pytest.mark.parametrize("which", ["1b", "2a", "2b"])
     def test_a_shortcut_is_the_mechanism_setting(self, capsys, which):
         code, out, err = run(capsys, "figures", which, "--a", "0.75")

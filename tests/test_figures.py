@@ -88,6 +88,11 @@ class TestExperimentConfig:
             with pytest.raises(ValueError):
                 ExperimentConfig(**bad)
 
+    def test_k_above_n_refused(self):
+        with pytest.raises(ValueError, match="^k 3 exceeds n 2: two 2-bit records differ in at most 2 bits$"):
+            ExperimentConfig(n=2, k=3)
+        assert ExperimentConfig(n=2, k=2).k == 2
+
     def test_from_mapping_overrides_defaults(self):
         cfg = ExperimentConfig.from_mapping(
             {"n": 3, "mechanism": "warner:0.7", "seed": 5, "stream": 2}
@@ -301,8 +306,8 @@ class TestFigure2b:
         assert all(x[0] < y[0] for x, y in zip(rows, rows[1:]))
 
     def test_k_shifts_the_dial(self):
-        _, loose = figure_2b(default_cfg("2b", k=1))
-        _, tight = figure_2b(default_cfg("2b", k=4))
+        _, loose = figure_2b(default_cfg("2b", n=4, k=1))
+        _, tight = figure_2b(default_cfg("2b", n=4, k=4))
         # splitting the budget over more questions forces a closer to 1/2
         assert all(t[1] < l[1] for t, l in zip(tight, loose))
         assert all(t[2] > l[2] for t, l in zip(tight, loose))

@@ -1,7 +1,10 @@
-"""The package's lazy namespace, its numpy-free start, the names the bench
-wraps to trace each layer, and what earns a name its place in the namespace."""
+"""The package's lazy namespace, its numpy-free start, how a command process
+exits, the names the bench wraps to trace each layer, and what earns a name
+its place in the namespace."""
 
 import ast
+import atexit
+import gc
 import importlib
 import importlib.util
 import os
@@ -10,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bisymrr
@@ -125,6 +129,77 @@ def test_running_a_command_imports_numpy():
     """The check above can tell: a real command does load numpy."""
     code, modules = imported_modules("-m", "bisymrr", "loss", "--a", "0.75", "--n", "1", "--s", "0.5")
     assert code == 0 and "numpy" in modules and "bisymrr.cli" in modules
+
+
+# A command process as the console script runs it: ``main()`` reads sys.argv.
+# The reporter, registered first, runs after every handler ``main`` registers.
+FREEZE_PROBE = (
+    "import atexit, gc, sys; from bisymrr.parser import main; "
+    "atexit.register(lambda: print('freeze_count', gc.get_freeze_count(), file=sys.stderr)); "
+    "sys.argv = ['bisymrr', *sys.argv[1:]]; sys.exit(main())"
+)
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (("estimate", "{corpus}"), 0),
+        (("--help",), 0),
+        (("estimate",), 2),
+        (("estimate", "{bad}"), 4),
+    ],
+    ids=["estimate", "help", "usage-error", "parse-error"],
+)
+def test_command_process_freezes_the_collector_at_exit(tmp_path, args, code):
+    """Shutdown skips the collector's passes over what the command made, and
+    the exit code is the command's."""
+    (tmp_path / "c.csv").write_text("# width=2 m=3 a=0.75\n0,1\n1,1\n0,0\n")
+    (tmp_path / "bad.csv").write_text("# width=2 m=3 a=0.75\n0,1\n1,2\n0,0\n")
+    argv = [arg.format(corpus=tmp_path / "c.csv", bad=tmp_path / "bad.csv") for arg in args]
+    proc = subprocess.run(
+        [sys.executable, "-c", FREEZE_PROBE, *argv],
+        capture_output=True, text=True, env=ENV, cwd=ROOT, timeout=120,
+    )
+    assert proc.returncode == code
+    name, count = proc.stderr.splitlines()[-1].split()
+    assert name == "freeze_count" and int(count) > 0
+
+
+def test_in_process_main_freezes_nothing(monkeypatch, tmp_path, capsys):
+    """A caller passing ``argv`` (tests, library users, the bench launcher)
+    keeps the interpreter's own shutdown: no exit handler, no freeze."""
+    registered = []
+    monkeypatch.setattr(atexit, "register", lambda *args, **kwargs: registered.append(args))
+    corpus = tmp_path / "c.csv"
+    corpus.write_text("# width=2 m=3 a=0.75\n0,1\n1,1\n0,0\n")
+    for argv, code in [(["estimate", str(corpus)], 0), (["--help"], 0), (["estimate"], 2)]:
+        assert parser.main(argv) == code
+    capsys.readouterr()
+    assert registered == []
+    assert gc.get_freeze_count() == 0
+
+
+def test_shutdown_delivers_all_output(tmp_path, capsys):
+    """A command process's stdout through a pipe and its ``--out`` file hold
+    every byte the in-process command writes: nothing is lost at exit."""
+    corpus = tmp_path / "c.csv"
+    bits = np.random.default_rng(5).integers(0, 2, (2000, 16), dtype=np.uint8)
+    bisymrr.write_corpus(corpus, bisymrr.ResponseCorpus(bits), {"a": 0.75})
+    proc = subprocess.run(
+        [sys.executable, "-m", "bisymrr", "estimate", str(corpus)],
+        capture_output=True, env=ENV, cwd=ROOT, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert parser.main(["estimate", str(corpus)]) == 0
+    expected = capsys.readouterr().out.encode()
+    assert len(expected) > 1_000_000 and proc.stdout == expected
+    randomize = ["randomize", str(corpus), "--a", "0.75", "--seed", "3", "--out"]
+    subprocess.run(
+        [sys.executable, "-m", "bisymrr", *randomize, str(tmp_path / "spawned.csv")],
+        env=ENV, cwd=ROOT, timeout=120, check=True,
+    )
+    assert parser.main([*randomize, str(tmp_path / "in-process.csv")]) == 0
+    assert (tmp_path / "spawned.csv").read_bytes() == (tmp_path / "in-process.csv").read_bytes()
 
 
 class TestLazyNamespace:
