@@ -5,8 +5,9 @@ Subcommands: matrix | randomize | estimate | loss | privacy | figures.
 module only to :func:`run` a command; :func:`main` is the parser's,
 re-exported here.  This module loads numpy and the layers every command
 shares (channel, corpus I/O, estimator, randomizer); the ``privacy`` and
-``figures`` commands import their own layers (and ``figures`` :mod:`json`)
-when they run, so no other command loads them.  Before numpy loads, importing
+``figures`` commands import their own layers when they run (``figures 2b``
+also :mod:`~bisymrr.privacy`, and ``figures --config`` :mod:`json`), so no
+other command loads them.  Before numpy loads, importing
 this module sets ``OPENBLAS_NUM_THREADS=1`` unless the environment sets it,
 ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``.
 Everything reads and writes flat CSV (stdout by default), all floats carry 17
@@ -185,12 +186,12 @@ def cmd_privacy(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    import json  # here, like the figures layer below, so no other command loads them
-
-    from .figures import FLAT_DIRICHLET, ExperimentConfig
+    from .figures import FLAT_DIRICHLET, ExperimentConfig  # here, so no other command loads it
 
     config = {}
     if args.config:
+        import json  # only a config file needs it
+
         with open(args.config, "r", encoding="utf-8") as handle:
             try:
                 config = json.load(handle)
@@ -222,6 +223,14 @@ def cmd_figures(args) -> int:
                 f"--pi must be comma-separated numbers or {FLAT_DIRICHLET!r}, "
                 f"got {args.pi!r}"
             ) from None
+    if "pi" in reads and "pi" not in settings:
+        # the default pi fits the default width alone: check the other settings first
+        n = ExperimentConfig.from_mapping({**reads, **settings, "pi": FLAT_DIRICHLET}).n
+        if n != reads["n"]:
+            raise ValueError(
+                f"figure {args.which}'s default pi is for n = {reads['n']}, not n = {n}: "
+                f"give --pi with {1 << n} cells, or --pi {FLAT_DIRICHLET}"
+            )
     cfg = ExperimentConfig.from_mapping({**reads, **settings})
     columns, rows = build_figure(args.which, cfg)
     header = {"figure": args.which}

@@ -342,8 +342,11 @@ def write_matrix(f, matrix: np.ndarray) -> None:
 def _cell_digits(n: int, cells: slice = slice(None)) -> np.ndarray:
     """The bit pattern of each of the 2^n cells of a marginal (or of a slice
     of them), lowest bit first, as one row of ASCII ``0``/``1`` codes each."""
-    index = np.arange(*cells.indices(1 << n))
-    return (index[:, None] >> np.arange(n) & 1).astype(np.uint8) + ord("0")
+    # each index's four little-endian bytes, unpacked lowest bit first
+    index = np.arange(*cells.indices(1 << n), dtype="<u4").view(np.uint8).reshape(-1, 4)
+    digits = np.unpackbits(index, axis=1, count=n, bitorder="little")
+    digits += ord("0")
+    return digits
 
 
 def _cell_labels(n: int) -> list[str]:

@@ -107,9 +107,15 @@ def marginal_histogram(corpus: ResponseCorpus, positions: Sequence[int]) -> Hist
         )
     counts = np.zeros(1 << k, dtype=np.int64)
     weights = np.int64(1) << np.arange(k, dtype=np.int64)
-    for b in _blocks(corpus.m, corpus.width):
-        cells = corpus.bits[b, pos].astype(np.int64) @ weights
-        counts += np.bincount(cells, minlength=1 << k)
+    # one 2^k-cell bincount per span of at least 2^k rows, not per block; the
+    # span's cell indices, filled a block at a time, take no more room than
+    # counts (or one block's indices, when a block has more rows)
+    for span in _blocks(corpus.m, corpus.width, rows=counts.size):
+        bits = corpus.bits[span]
+        cells = np.empty(len(bits), dtype=np.int64)
+        for b in _blocks(len(bits), corpus.width):
+            cells[b] = bits[b, pos].astype(np.int64) @ weights
+        counts += np.bincount(cells, minlength=counts.size)
     return Histogram(counts)
 
 

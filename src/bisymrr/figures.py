@@ -41,7 +41,6 @@ from .channel import apply_kernel
 from .corpus_io import _cell_labels
 from .errors import CELL_CAP, FIGURE_1A_CAP, WidthCapError, check_count
 from .estimator import check_distribution, estimate, flat_average_loss, loss
-from .privacy import a_for_epsilon
 from .randomizer import RandomSeed
 from .surveys import Mechanism, effective_a, parse_mechanism, unrelated_c, warner_c
 
@@ -232,6 +231,8 @@ def figure_2b(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     channel parameter, then inverted through that design's parameterization
     and fed to that design's own closed form.  The two columns coincide.
     """
+    from .privacy import a_for_epsilon  # here, so the other figures never load it
+
     columns = ["alpha", "a", "c_unrelated", "c_warner"]
     rows: list[list] = []
     for alpha in np.linspace(0.2, 2.0, 145):

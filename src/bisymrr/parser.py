@@ -151,16 +151,29 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Parse ``argv`` (default ``sys.argv[1:]``), run its command and return
     the exit code; a run that ends in argparse exits 0 or 2 without loading
-    numpy.  Parsing the process's own command line (``argv`` None) also
-    freezes the collector at exit, so shutdown skips the full collections
-    over every object numpy and the command made; the OS reclaims them."""
-    if argv is None:
+    numpy.
+
+    Parsing the process's own command line (``argv`` None) also keeps the
+    cyclic collector off the objects that live until exit.  It is off while
+    the parser is built and numpy and the layers load, and then freezes them
+    and is back on, so the command's own cycles are still collected; at exit
+    it freezes again, so shutdown skips the full collections over everything
+    numpy and the command made, and the OS reclaims it.  A call with ``argv``
+    leaves the collector alone."""
+    own = argv is None
+    if own:
+        collecting = gc.isenabled()
+        gc.disable()
         atexit.register(gc.freeze)
     try:
         args = _build_parser().parse_args(argv)
+        from .cli import run
     except SystemExit as exc:
         code = exc.code
         return 0 if code is None else (code if isinstance(code, int) else 2)
-    from .cli import run
-
+    finally:
+        if own:
+            gc.freeze()
+            if collecting:
+                gc.enable()
     return run(args)

@@ -6,7 +6,9 @@ probability ``a`` and flipped otherwise, independently across bits.  Each
 classic parameterization is a dial of that one family, named in
 :data:`~bisymrr.surveys._MECHANISMS`; this module sees only the effective
 ``a``.  The actual randomization is a single XOR with a vector of
-Bernoulli(1 - a) draws.
+Bernoulli(1 - a) draws: a draw is 1 when the generator's raw 64-bit word w
+satisfies w >= ceil(a 2^53) 2^11, which is exactly ``Generator.random() >= a``
+for the uniform (w >> 11) 2^-53 that ``random`` would make of the same word.
 
 Reproducibility contract: randomness comes from a counter-based generator
 (numpy's Philox) keyed by (seed, stream).  Record j of a corpus consumes the
@@ -18,6 +20,7 @@ bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +33,11 @@ from .errors import check_count, check_probability
 BLOCK_CELLS = 1 << 16
 
 
-def _blocks(n: int, width: int, cells: int | None = None):
+def _blocks(n: int, width: int, cells: int | None = None, rows: int = 1):
     """Slices cutting ``n`` rows of ``width`` cells into blocks of about
-    ``cells`` cells (:data:`BLOCK_CELLS` by default), at least one row each."""
-    step = max(1, (cells or BLOCK_CELLS) // max(width, 1))
+    ``cells`` cells (:data:`BLOCK_CELLS` by default), at least ``rows`` rows
+    each."""
+    step = max(rows, (cells or BLOCK_CELLS) // max(width, 1))
     return (slice(start, start + step) for start in range(0, n, step))
 
 
@@ -132,10 +136,16 @@ class ResponseCorpus:
 def _flip(bits: np.ndarray, a: float, gen: np.random.Generator) -> np.ndarray:
     """``bits`` with each entry flipped with probability 1 - a, drawing one
     uniform per entry from ``gen`` in row order: the only flipping code.  One
-    generator advanced block by block gives the flips of one batched draw."""
-    # P(u >= a) = 1 - a, with exact behavior at a = 0 (always flip, since
-    # u >= 0 always) and a = 1 (never flip, since u < 1 always)
-    return bits ^ (gen.random(bits.shape) >= a)
+    generator advanced block by block gives the flips of one batched draw.
+
+    An entry flips when its uniform u satisfies u >= a, so P(flip) = 1 - a,
+    exactly at a = 0 (u >= 0 always) and a = 1 (u < 1 always).  The test is
+    made on the raw words, by the integer threshold in the module docstring,
+    so no word is turned into a float.
+    """
+    # w > bound - 1, so a = 1's bound is 2^64 - 1, a uint64 no word exceeds;
+    # the raw words stay an unnamed temporary, freed as the compare ends
+    return bits ^ (gen.bit_generator.random_raw(bits.shape) > (math.ceil(a * 2.0**53) << 11) - 1)
 
 
 def randomize(

@@ -5,6 +5,7 @@ import io
 import os
 import threading
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -83,6 +84,17 @@ class TestBlockBoundaries:
         cells = BITS[:, list(positions)] @ (1 << np.arange(len(positions)))
         want = np.bincount(cells, minlength=1 << len(positions))
         assert np.array_equal(marginal_histogram(CORPUS, positions).counts, want)
+
+    @pytest.mark.parametrize("m", [3, M, 8 * 7], ids=["below-one-block", "ragged", "whole-blocks"])
+    @pytest.mark.parametrize("positions", [[3], [0, 2, 4], range(WIDTH)], ids=["k1", "k3", "k5"])
+    def test_histogram_counts_what_a_counter_counts(self, rows, m, positions):
+        """Counted a span of at least 2^k rows at a time: spans of one block
+        (2^k at most one block's rows) and of several (2^k above it), with
+        corpora shorter than a block and ending mid-block or mid-span."""
+        pos = list(positions)
+        tally = Counter(sum(int(bit) << t for t, bit in enumerate(row[pos])) for row in BITS[:m])
+        want = [tally[cell] for cell in range(1 << len(pos))]
+        assert marginal_histogram(ResponseCorpus(BITS[:m]), positions).counts.tolist() == want
 
     def test_estimate_output_is_the_same(self, rows, tmp_path, monkeypatch, capsys):
         path = tmp_path / "noisy.csv"

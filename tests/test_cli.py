@@ -573,6 +573,25 @@ class TestFigures:
         cfg.write_text(json.dumps(config))
         assert run(capsys, "figures", "1a", "--config", str(cfg)) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_default_pi_at_another_width_names_the_default(self, tmp_path, capsys, source):
+        """1a's default pi has four cells; a width other than 2 without a pi of
+        its own is refused with a message about the default, not about a pi
+        the user never gave."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 3}))
+        width = ["--n", "3"] if source == "flag" else ["--config", str(cfg)]
+        assert run(capsys, "figures", "1a", *width, "--trials", "2") == (
+            2, "", "error: figure 1a's default pi is for n = 2, not n = 3: "
+                   "give --pi with 8 cells, or --pi dirichlet-flat\n",
+        )
+        code, out, _ = run(capsys, "figures", "1a", *width, "--trials", "2", "--pi", "dirichlet-flat")
+        assert code == 0 and out.startswith("# figure=1a n=3 ")
+        # an invalid setting is still named first, as with a pi given
+        assert run(capsys, "figures", "1a", "--n", "3", "--m", "0") == (
+            2, "", "error: m must be an integer >= 1, got 0\n",
+        )
+
     @pytest.mark.parametrize("pi", ["abc", "0.5,x,0.25,0.25"])
     def test_pi_flag_that_is_no_numbers_names_the_flag(self, capsys, pi):
         assert run(capsys, "figures", "1a", "--pi", pi) == (

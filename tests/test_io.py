@@ -409,6 +409,27 @@ class TestWriteTable:
         assert buf.getvalue() == "a,b\n"
 
 
+def shift_table_digits(n: int, cells: slice) -> np.ndarray:
+    """Each cell's bits, lowest first, as ASCII codes: one int64 shift per bit."""
+    index = np.arange(*cells.indices(1 << n))
+    return (index[:, None] >> np.arange(n) & 1).astype(np.uint8) + ord("0")
+
+
+@pytest.mark.parametrize("n", [1, 8, 16, 24])
+def test_cell_digits_match_the_shift_table(n):
+    last = 1 << n
+    slices = [slice(0, min(last, 1000)), slice(max(last - 1000, 0), last), slice(last - 1, last),
+              slice(last // 2 - 3, last // 2 + 3)]
+    if n <= 16:
+        slices.append(slice(None))
+    for cells in slices:
+        got = corpus_io._cell_digits(n, cells)
+        want = shift_table_digits(n, cells)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert np.array_equal(got, want), (n, cells)
+    assert corpus_io._cell_digits(n, slice(last - 1, last)).tobytes() == b"1" * n
+
+
 class TestFormatValue:
     @pytest.mark.parametrize(
         "value, text",

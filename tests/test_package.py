@@ -59,7 +59,8 @@ def test_start_imports_no_numpy(args, code):
     assert {m for m in modules if m.partition(".")[0] == "bisymrr"} <= NUMPY_FREE
 
 
-# The modules only ``figures`` and ``privacy`` need.
+# The modules only ``figures`` and ``privacy`` need: figure 2b alone reads
+# privacy budgets, and only a ``--config`` file is JSON.
 LAZY = {"bisymrr.figures", "bisymrr.privacy", "json"}
 
 
@@ -85,14 +86,18 @@ def loaded_modules(*argv: str) -> tuple[int, set[str]]:
         (("matrix", "0.75", "1"), set()),
         (("loss", "--a", "0.75", "--n", "1", "--s", "0.5"), set()),
         (("privacy", "--a", "0.75", "--n", "2"), {"bisymrr.privacy"}),
-        (("figures", "2b"), LAZY),
+        (("figures", "1a", "--trials", "2"), {"bisymrr.figures"}),
+        (("figures", "2b"), {"bisymrr.figures", "bisymrr.privacy"}),
+        (("figures", "2b", "--config", "{config}"), LAZY),
     ],
-    ids=["randomize", "estimate", "matrix", "loss", "privacy", "figures"],
+    ids=["randomize", "estimate", "matrix", "loss", "privacy", "figures-1a", "figures",
+         "figures-config"],
 )
 def test_each_command_loads_only_what_it_uses(tmp_path, args, loads):
-    corpus = tmp_path / "c.csv"
+    corpus, config = tmp_path / "c.csv", tmp_path / "2b.json"
     corpus.write_text("# width=2 m=3 a=0.75\n0,1\n1,1\n0,0\n")
-    code, modules = loaded_modules(*(arg.format(corpus=corpus) for arg in args))
+    config.write_text('{"n": 2}')
+    code, modules = loaded_modules(*(arg.format(corpus=corpus, config=config) for arg in args))
     assert code == 0 and "bisymrr.cli" in modules
     assert modules & LAZY == loads
 
@@ -165,18 +170,78 @@ def test_command_process_freezes_the_collector_at_exit(tmp_path, args, code):
     assert name == "freeze_count" and int(count) > 0
 
 
+# ``main()`` on the process's own command line, with the collector watched.
+# LOAD_PROBE counts the passes that start before ``cli.run`` is bound, while
+# the parser is built and numpy and the layers load; RUN_PROBE, which binds
+# it first, reports the collector's state as ``cli.run`` is entered.
+LOAD_PROBE = (
+    "import gc, sys; from bisymrr import parser; early = []; "
+    "gc.callbacks.append(lambda phase, info: phase == 'start' "
+    "and not hasattr(sys.modules.get('bisymrr.cli'), 'run') and early.append(info)); "
+    "sys.argv = ['bisymrr', *sys.argv[1:]]; code = parser.main(); "
+    "print('early', len(early), file=sys.stderr); sys.exit(code)"
+)
+RUN_PROBE = (
+    "import gc, sys; from bisymrr import cli, parser; run = cli.run; "
+    "cli.run = lambda args: print('run', gc.isenabled(), gc.get_freeze_count() > 0, "
+    "file=sys.stderr) or run(args); "
+    "sys.argv = ['bisymrr', *sys.argv[1:]]; sys.exit(parser.main())"
+)
+
+
+@pytest.mark.parametrize(
+    "args", [("estimate", "{corpus}"), ("figures", "1a", "--trials", "2")], ids=["estimate", "figures"]
+)
+def test_command_process_collects_nothing_while_it_loads(tmp_path, args):
+    """No collection walks the objects the parser, numpy and the layers make
+    while they load; the command then runs with the collector on and them
+    frozen, so only its own cycles are collected."""
+    (tmp_path / "c.csv").write_text("# width=2 m=3 a=0.75\n0,1\n1,1\n0,0\n")
+    argv = [arg.format(corpus=tmp_path / "c.csv") for arg in args]
+    for probe, report in [(LOAD_PROBE, "early 0"), (RUN_PROBE, "run True True")]:
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *argv, "--out", str(tmp_path / "out.csv")],
+            capture_output=True, text=True, env=ENV, cwd=ROOT, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr.splitlines()[-1]) == (0, report)
+
+
 def test_in_process_main_freezes_nothing(monkeypatch, tmp_path, capsys):
     """A caller passing ``argv`` (tests, library users, the bench launcher)
-    keeps the interpreter's own shutdown: no exit handler, no freeze."""
+    keeps the interpreter's own shutdown and collector: no exit handler, no
+    freeze, and the collector on or off as it found it."""
     registered = []
     monkeypatch.setattr(atexit, "register", lambda *args, **kwargs: registered.append(args))
     corpus = tmp_path / "c.csv"
     corpus.write_text("# width=2 m=3 a=0.75\n0,1\n1,1\n0,0\n")
-    for argv, code in [(["estimate", str(corpus)], 0), (["--help"], 0), (["estimate"], 2)]:
-        assert parser.main(argv) == code
+    try:
+        for collecting in (True, False):
+            (gc.enable if collecting else gc.disable)()
+            for argv, code in [(["estimate", str(corpus)], 0), (["--help"], 0), (["estimate"], 2)]:
+                assert parser.main(argv) == code
+                assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
     capsys.readouterr()
     assert registered == []
     assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+def test_own_command_line_leaves_the_collector_as_found(monkeypatch, capsys, collecting):
+    """Parsing the process's own command line turns the collector off while
+    it loads and back to the state it found, on every way out of the parse."""
+    monkeypatch.setattr(atexit, "register", lambda *args, **kwargs: None)
+    (gc.enable if collecting else gc.disable)()
+    try:
+        for argv, code in [(["bisymrr", "--help"], 0), (["bisymrr", "estimate"], 2)]:
+            monkeypatch.setattr(sys, "argv", argv)
+            assert parser.main() == code
+            assert gc.isenabled() is collecting
+    finally:
+        gc.unfreeze()
+        gc.enable()
+    capsys.readouterr()
 
 
 def test_shutdown_delivers_all_output(tmp_path, capsys):

@@ -18,7 +18,12 @@ from bisymrr import (
     parse_mechanism,
     randomize,
     randomize_corpus,
+    read_corpus,
+    write_corpus,
 )
+from bisymrr import randomizer
+from bisymrr.parser import main
+from bisymrr.randomizer import _flip
 from dense_oracles import unrelated_channel_entry
 from twostage import simulate
 
@@ -264,6 +269,71 @@ class TestRandomize:
             dof = (1 << n) - 1 - n
             statistic = ((counts - expected) ** 2 / expected).sum()
             assert stats.chi2.sf(statistic, dof) >= 1e-3
+
+
+# The ends, the smallest step above 0, one half, and 0.75 with each of its
+# float neighbours: where an integer threshold could be one off.
+EDGE_A = [
+    0.0, 2.0**-53, 0.5, 0.75, float(np.nextafter(0.75, 0)), float(np.nextafter(0.75, 1)),
+    1.0 - 2.0**-53, 1.0,
+]
+
+
+class FixedWords:
+    """A generator stand-in whose bit generator hands out given raw words."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self.words = np.asarray(words, dtype=np.uint64)
+
+    def random_raw(self, shape):
+        return self.words.reshape(shape)
+
+
+class TestFlipOracle:
+    """Every path flips exactly where ``Generator.random(shape) >= a`` does."""
+
+    CORPUS = ResponseCorpus(np.random.default_rng(3).integers(0, 2, (300, 7), dtype=np.uint8))
+    SEED = RandomSeed(8, 1)
+
+    def expected(self, a):
+        return self.CORPUS.bits ^ (self.SEED.generator().random(self.CORPUS.bits.shape) >= a)
+
+    def test_random_is_the_raw_words_top_53_bits(self):
+        words = self.SEED.generator().bit_generator.random_raw(1000)
+        assert np.array_equal(self.SEED.generator().random(1000), (words >> 11) * 2.0**-53)
+
+    @pytest.mark.parametrize("a", [*EDGE_A, 1 / 3])  # a 2^53 is no integer at 1/3
+    def test_words_beside_the_threshold(self, a):
+        """Words at and beside a's cut, and at both ends of the range, flip
+        exactly when the uniform ``random`` makes of them reaches a."""
+        cut = int(a * 2.0**53) << 11
+        near = [cut + d for d in (-2049, -2048, -1, 0, 1, 2047, 2048)]
+        words = [w for w in near + [0, 1, 2047, 2048, 2**64 - 2049, 2**64 - 2048, 2**64 - 1]
+                 if 0 <= w < 2**64]
+        uniforms = (np.array(words, dtype=np.uint64) >> 11) * 2.0**-53
+        got = _flip(np.zeros(len(words), dtype=np.uint8), a, FixedWords(words))
+        assert np.array_equal(got, uniforms >= a)
+
+    @pytest.mark.parametrize("a", EDGE_A)
+    def test_batch_and_per_record(self, a):
+        want = self.expected(a)
+        assert np.array_equal(randomize_corpus(self.CORPUS, a, self.SEED).bits, want)
+        for j in range(0, self.CORPUS.m, 7):
+            assert np.array_equal(randomize(self.CORPUS.bits[j], a, self.SEED, index=j), want[j])
+
+    @pytest.mark.parametrize("a", EDGE_A)
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    def test_chunked(self, monkeypatch, tmp_path, a, rows):
+        """Blocks of ``rows`` rows, in the library and in the streaming command."""
+        monkeypatch.setattr(randomizer, "BLOCK_CELLS", rows * self.CORPUS.width)
+        want = self.expected(a)
+        assert np.array_equal(randomize_corpus(self.CORPUS, a, self.SEED).bits, want)
+        path, out = tmp_path / "c.csv", tmp_path / "out.csv"
+        write_corpus(path, self.CORPUS)
+        argv = ["randomize", str(path), "--a", repr(a), "--seed", "8", "--stream", "1"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert np.array_equal(read_corpus(out)[0].bits, want)
 
 
 class TestRandomizeCorpus:
