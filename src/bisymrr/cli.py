@@ -159,7 +159,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_loss(args) -> int:
     a = effective_a(_mechanism_from_args(args))
-    n = check_width(args.n, 1)
+    n = check_width(args.n)
     if args.pi is not None:
         pi = check_distribution(read_vector(args.pi))
         if pi.size != 1 << n:
@@ -174,7 +174,7 @@ def cmd_loss(args) -> int:
 
 
 def cmd_privacy(args) -> int:
-    n = check_width(args.n, 1)
+    n = check_width(args.n)
     k = args.k if args.k is not None else n
     if k > n:
         raise ValueError(f"--k {k} exceeds --n {n}: two {n}-bit records differ in at most {n} bits")

@@ -101,11 +101,11 @@ def check_count(value, name: str, minimum: int = 0) -> int:
 MAX_WIDTH = 1023
 
 
-def check_width(n, minimum: int = 0) -> int:
-    """A bit width for the closed forms.  Above :data:`MAX_WIDTH` it raises
-    the OverflowError that ``float(1 << n)`` would, but before anything
-    builds ``1 << n``."""
-    n = check_count(n, "bit width", minimum)
+def check_width(n) -> int:
+    """A bit width of at least 1 for the closed forms.  Above
+    :data:`MAX_WIDTH` it raises the OverflowError that ``float(1 << n)``
+    would, but before anything builds ``1 << n``."""
+    n = check_count(n, "bit width", 1)
     if n > MAX_WIDTH:
         raise OverflowError(f"2^n is not a finite float for bit width {n} (at most {MAX_WIDTH})")
     return n

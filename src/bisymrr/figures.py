@@ -118,10 +118,15 @@ class ExperimentConfig:
         return cls(**known, seed=seed)
 
 
-def _trial_seed(cfg: ExperimentConfig, trial: int) -> RandomSeed:
-    # streams base+1, base+2, ... belong to trials; base itself stays free
-    # for one-off draws such as sampling a shared pi
-    return RandomSeed(cfg.seed.seed, cfg.seed.stream + 1 + trial)
+def _trial_seed(cfg: ExperimentConfig, index: int) -> RandomSeed:
+    """Trial ``index``'s stream, stream + 1 + index: the base stream itself
+    stays free for one-off draws such as sampling a shared pi."""
+    if (stream := cfg.seed.stream + 1 + index) >= 2**64:
+        raise ValueError(
+            f"trial streams run to stream + {1 + index}, which at stream {cfg.seed.stream} and "
+            f"trials {cfg.trials} pass 2^64 - 1: give a stream of at most {2**64 - 2 - index}"
+        )
+    return RandomSeed(cfg.seed.seed, stream)
 
 
 def figure_1a(cfg: ExperimentConfig) -> tuple[list[str], Iterable[list]]:
@@ -145,6 +150,7 @@ def figure_1a(cfg: ExperimentConfig) -> tuple[list[str], Iterable[list]]:
             f"figure 1a with {cfg.trials} trials at width {cfg.n} needs "
             f"3 x {cfg.trials} x 2^{cfg.n} cells, above the cap of {CELL_CAP}"
         )
+    _trial_seed(cfg, cfg.trials - 1)  # the last trial's stream, checked up front
     if isinstance(cfg.pi, str):
         pi = sample_flat_dirichlet(cells, cfg.seed)
     else:
@@ -189,13 +195,13 @@ def figure_1b(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
 def figure_1c(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     """Exact-to-flat-average loss ratio for random π, per bit width."""
     a = effective_a(cfg.mechanism)
+    _trial_seed(cfg, (12 << 32) + cfg.trials - 1)  # the last trial's stream, checked up front
     columns = ["n", "trial", "s", "loss_exact", "loss_flat", "ratio"]
     rows: list[list] = []
     for n in range(2, 13):
         for trial in range(cfg.trials):
             # separate stream per (width, trial) so any subset reproduces
-            stream_seed = RandomSeed(cfg.seed.seed, cfg.seed.stream + (n << 32) + trial + 1)
-            pi = sample_flat_dirichlet(1 << n, stream_seed)
+            pi = sample_flat_dirichlet(1 << n, _trial_seed(cfg, (n << 32) + trial))
             s = float(pi @ pi)
             report = loss(s, a, n)
             exact, flat = report.loss_L, report.loss_approx

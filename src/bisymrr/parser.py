@@ -14,7 +14,6 @@ flags naming one setting two ways (``--a``/``--mechanism``, ``--s``/``--pi``,
 from __future__ import annotations
 
 import argparse
-import atexit
 import gc
 
 from .errors import CELL_CAP, DENSE_CAP, FIGURE_1A_CAP
@@ -154,17 +153,14 @@ def main(argv=None) -> int:
     numpy.
 
     Parsing the process's own command line (``argv`` None) also keeps the
-    cyclic collector off the objects that live until exit.  It is off while
-    the parser is built and numpy and the layers load, and then freezes them
-    and is back on, so the command's own cycles are still collected; at exit
-    it freezes again, so shutdown skips the full collections over everything
-    numpy and the command made, and the OS reclaims it.  A call with ``argv``
+    cyclic collector off what loading makes, which lives until exit: it is off
+    while the parser is built and numpy and the layers load, then freezes that
+    heap and is back on for the command's own cycles.  A call with ``argv``
     leaves the collector alone."""
     own = argv is None
     if own:
         collecting = gc.isenabled()
         gc.disable()
-        atexit.register(gc.freeze)
     try:
         args = _build_parser().parse_args(argv)
         from .cli import run

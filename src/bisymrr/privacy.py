@@ -46,10 +46,13 @@ def a_for_epsilon(eps: float, k: int) -> float:
 
     Returns the truthful branch a = e^(eps/k) / (1 + e^(eps/k)) > 1/2; its
     mirror image 1 - a (respondents inverting more often than not) spends the
-    same budget.
+    same budget.  A budget whose a would round to 1 is refused.
     """
-    t = math.exp(check_budget(eps) / check_count(k, "k", 1))
-    return t / (1.0 + t)
+    # a rounds to 1 before eps/k reaches 37, long before e^(eps/k) overflows
+    t = math.exp(min(check_budget(eps) / check_count(k, "k", 1), 40.0))
+    if (a := t / (1.0 + t)) == 1.0:
+        raise ValueError(f"no float channel realizes budget {eps} at k = {k}: its a rounds to 1")
+    return a
 
 
 def c_at_alpha(eps: float, k: int, n: int) -> float:

@@ -69,19 +69,13 @@ class RandomSeed:
         """Fresh generator at the start of this stream."""
         return np.random.Generator(np.random.Philox(key=self._key()))
 
-    def record_uniforms(self, index: int, width: int) -> np.ndarray:
-        """The ``width`` uniforms record ``index`` consumes, computed directly."""
-        return self._generator_at(index, width).random(width)
-
     def _generator_at(self, index: int, width: int) -> np.random.Generator:
         """A generator at the first draw of record ``index`` of ``width`` bits.
 
         Philox advances in 4-draw blocks, so position index*width is reached
         by advancing whole blocks and discarding the remainder.
         """
-        index = check_count(index, "record index")
-        width = check_count(width, "width")
-        q, r = divmod(index * width, 4)
+        q, r = divmod(check_count(index, "record index") * width, 4)
         bits = np.random.Philox(key=self._key())
         bits.advance(q)
         gen = np.random.Generator(bits)
@@ -90,15 +84,17 @@ class RandomSeed:
         return gen
 
 
-def _all_bits(arr: np.ndarray) -> bool:
-    """Every entry is 0 or 1, checked in the array's own dtype so that nothing
-    is wrapped or truncated first (256, -255, 1.5 and NaN all fail)."""
+def _check_bits(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as uint8 once every entry is 0 or 1, checked in the array's own
+    dtype so that nothing is wrapped or truncated first (256, -255, 1.5, NaN)."""
     kind = arr.dtype.kind
-    if kind == "b":
-        return True
     if kind in "ui":
-        return bool(arr.max() <= 1 and (kind == "u" or arr.min() >= 0))
-    return bool(((arr == 0) | (arr == 1)).all())
+        bits = not arr.size or (arr.max() <= 1 and (kind == "u" or arr.min() >= 0))
+    else:
+        bits = kind == "b" or bool(((arr == 0) | (arr == 1)).all())
+    if not bits:
+        raise ValueError("corpus entries must all be 0 or 1")
+    return arr.astype(np.uint8, copy=False)
 
 
 @dataclass(frozen=True)
@@ -113,9 +109,7 @@ class ResponseCorpus:
             raise ValueError(f"corpus must be 2-dimensional, got shape {arr.shape}")
         if arr.shape[0] and not arr.shape[1]:
             raise ValueError(f"corpus records must have at least one bit, got shape {arr.shape}")
-        if arr.size and not _all_bits(arr):
-            raise ValueError("corpus entries must all be 0 or 1")
-        object.__setattr__(self, "bits", arr.astype(np.uint8, copy=False))
+        object.__setattr__(self, "bits", _check_bits(arr))
 
     @property
     def m(self) -> int:
@@ -155,10 +149,10 @@ def randomize(
 
     ``index`` selects the record's counter block, so
     ``randomize(c.bits[j], a, seed, index=j)`` reproduces record j of
-    ``randomize_corpus(c, a, seed)`` exactly.
+    ``randomize_corpus(c, a, seed)`` exactly; its entries must be 0 or 1.
     """
     check_probability(a, "a")
-    x = np.asarray(x, dtype=np.uint8)
+    x = _check_bits(np.asarray(x))
     return _flip(x, a, seed._generator_at(index, x.shape[-1]))
 
 

@@ -232,6 +232,8 @@ class TestEstimate:
         [
             ("# width=2 m=3 a=foo", "header value a=foo is not a number"),
             ("# width=2 m=3 m=3", "header repeats key 'm'"),
+            ("# width=0 m=3 a=0.75", "width must be positive, got 0"),
+            ("# width=2 m=-1 a=0.75", "record count must be non-negative, got -1"),
         ],
     )
     def test_bad_header_value_exits_4(self, tmp_path, capsys, header, message):
@@ -325,6 +327,17 @@ class TestLoss:
         assert (code, out) == (4, "")
         assert err.startswith("error: bad number: 'utf-8' codec can't decode byte 0xff")
 
+    @pytest.mark.parametrize(
+        "text, code, message",
+        [("0.5 0.5\n", 2, "pi file has 2 cells, width 2 needs 4"), ("# none\n", 4, "no numbers found")],
+        ids=["wrong-width", "no-numbers"],
+    )
+    def test_pi_file_that_does_not_fit_the_width_exits(self, tmp_path, capsys, text, code, message):
+        pi_file = tmp_path / "pi.csv"
+        pi_file.write_text(text)
+        got = run(capsys, "loss", "--a", "0.75", "--n", "2", "--pi", str(pi_file))
+        assert got == (code, "", f"error: {message}\n")
+
     def test_s_and_pi_conflict(self, tmp_path, capsys):
         pi_file = tmp_path / "pi.csv"
         pi_file.write_text("0.5,0.5\n")
@@ -412,6 +425,16 @@ class TestPrivacy:
         assert (code, out) == (2, "")
         assert err == "error: --k 5 exceeds --n 3: two 3-bit records differ in at most 3 bits\n"
         assert run(capsys, "privacy", *dial, "--n", "3", "--k", "3")[0] == 0
+
+    @pytest.mark.parametrize(
+        "eps, k", [("37", "1"), ("100", "1"), ("800", "1"), ("1e308", "1"), ("74", "2")]
+    )
+    def test_budget_no_float_channel_realizes_exits_2(self, capsys, eps, k):
+        """Once e^(eps/k) / (1 + e^(eps/k)) rounds to 1, or e^(eps/k) overflows,
+        the budget itself is named, not an overflow or an a of 1."""
+        assert run(capsys, "privacy", "--epsilon", eps, "--k", k, "--n", "2") == (
+            2, "", f"error: no float channel realizes budget {float(eps)} at k = {k}: its a rounds to 1\n"
+        )
 
 
 class TestFigures:
@@ -592,6 +615,32 @@ class TestFigures:
             2, "", "error: m must be an integer >= 1, got 0\n",
         )
 
+    # 1a gives trial t the stream stream + 1 + t, and 1c stream + (n << 32) + t + 1 for n <= 12
+    @pytest.mark.parametrize("which, room", [("1a", 1), ("1c", (12 << 32) + 1)])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_trial_streams_past_64_bits_name_the_stream_given(
+        self, tmp_path, capsys, which, room, source
+    ):
+        """With one trial, the last trial stream is stream + room: a stream
+        above 2^64 - 1 - room is refused up front, naming the stream and
+        trials given, and the stream at that bound still runs."""
+        bound = 2**64 - 1 - room
+        cfg = tmp_path / "cfg.json"
+        for stream, code in [(bound + 1, 2), (2**64 - 1, 2), (bound, 0)]:
+            cfg.write_text(json.dumps({"stream": stream, "trials": 1}))
+            if source == "flag":
+                args = ["--stream", str(stream), "--trials", "1"]
+            else:
+                args = ["--config", str(cfg)]
+            got, out, err = run(capsys, "figures", which, *args)
+            if code:
+                assert (got, out, err) == (2, "", (
+                    f"error: trial streams run to stream + {room}, which at stream {stream} and "
+                    f"trials 1 pass 2^64 - 1: give a stream of at most {bound}\n"
+                ))
+            else:
+                assert got == 0 and out.splitlines()[0].endswith(f" stream={bound}")
+
     @pytest.mark.parametrize("pi", ["abc", "0.5,x,0.25,0.25"])
     def test_pi_flag_that_is_no_numbers_names_the_flag(self, capsys, pi):
         assert run(capsys, "figures", "1a", "--pi", pi) == (
@@ -708,7 +757,7 @@ class TestClosedHoles:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("privacy", "--epsilon", "1000", "--n", "1"),
+            ("privacy", "--epsilon", "1", "--n", "1000"),
             ("loss", "--a", "0.6", "--n", "2000", "--s", "0.5"),
             ("loss", "--a", "0.5000000001", "--n", "40", "--s", "0.5"),
             ("figures", "2a", "--n", "1000"),

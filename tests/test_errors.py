@@ -126,24 +126,23 @@ def test_count(value, minimum, expected):
 
 
 @pytest.mark.parametrize(
-    "value,minimum,expected",
+    "value,expected",
     [
-        (NAN, 0, ValueError),
-        (INF, 0, ValueError),
-        (-1, 0, ValueError),
-        (2.5, 0, ValueError),
-        (0, 1, ValueError),
-        (1024, 0, OverflowError),
-        (10**9, 1, OverflowError),
-        (2**70, 0, OverflowError),
-        (0, 0, None),
-        (1, 1, None),
-        (1023.0, 1, None),
-        (np.int64(1023), 0, None),
+        (NAN, ValueError),
+        (INF, ValueError),
+        (-1, ValueError),
+        (2.5, ValueError),
+        (0, ValueError),
+        (1024, OverflowError),
+        (10**9, OverflowError),
+        (2**70, OverflowError),
+        (1, None),
+        (1023.0, None),
+        (np.int64(1023), None),
     ],
 )
-def test_width(value, minimum, expected):
-    assert outcome(check_width, value, minimum) is expected
+def test_width(value, expected):
+    assert outcome(check_width, value) is expected
 
 
 def test_count_returns_python_int():

@@ -56,6 +56,10 @@ class TestHistogram:
         with pytest.raises(ValueError, match="increasing"):
             marginal_histogram(CORPUS, [1, 1])
 
+    def test_no_positions_rejected(self):
+        with pytest.raises(ValueError, match="at least one bit position"):
+            marginal_histogram(CORPUS, [])
+
     def test_counts_validation(self):
         with pytest.raises(ValueError):
             Histogram(np.array([1, 2, 3]))
@@ -158,6 +162,33 @@ class TestEstimate:
         counts = np.array([[3, 1, 0, 2], row, [1, 1, 1, 1]])
         with pytest.raises(ValueError, match=error):
             estimate(counts, 0.75)
+
+    @pytest.mark.parametrize(
+        "counts, error",
+        [
+            (np.array([2**62, 2**62]), "total at most 2\\^63 - 1"),
+            (np.array([2**63 - 1, 1]), "total at most 2\\^63 - 1"),
+            (np.array([[1, 1], [2**62, 2**62]]), "total at most 2\\^63 - 1"),
+            (np.array([2**63, 0], dtype=np.uint64), "total at most 2\\^63 - 1"),
+            (np.array([2.0**63, 0.0]), "total at most 2\\^63 - 1"),
+            (np.array([True, False]), "integers"),
+            (np.array([1, "2"], dtype=object), "integers"),
+        ],
+        ids=["total-wraps", "total-one-past", "block-row", "uint64", "float", "booleans", "string"],
+    )
+    def test_counts_it_would_misread_are_refused(self, counts, error):
+        """Counts whose row total wraps in int64, booleans and objects were
+        once read as other counts; estimate and Histogram both refuse them."""
+        with pytest.raises(ValueError, match=error):
+            estimate(counts, 0.75)
+        if counts.ndim == 1:
+            with pytest.raises(ValueError, match=error):
+                Histogram(counts)
+
+    def test_row_total_at_the_int64_maximum_is_read(self):
+        top = 2**63 - 1
+        for counts in (np.array([[top, 0], [1, 1]]), np.array([[top, 0], [1, 1]], dtype=np.uint64)):
+            assert estimate(counts, 1.0).tolist() == [[1.0, 0.0], [0.5, 0.5]]
 
     @pytest.mark.parametrize("shape", [(2, 3), (2, 0), (2, 2, 2), ()])
     def test_block_shape_checked(self, shape):
@@ -480,6 +511,10 @@ class TestProjectToSimplex:
         v = np.array([0.9, -0.4, 0.5])
         once = project_to_simplex(v)
         assert np.abs(project_to_simplex(once) - once).max() <= 1e-12
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="empty vector"):
+            project_to_simplex([])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_input_rejected(self, bad):

@@ -137,7 +137,7 @@ def test_running_a_command_imports_numpy():
 
 
 # A command process as the console script runs it: ``main()`` reads sys.argv.
-# The reporter, registered first, runs after every handler ``main`` registers.
+# The reporter runs at exit, once the command has returned its code.
 FREEZE_PROBE = (
     "import atexit, gc, sys; from bisymrr.parser import main; "
     "atexit.register(lambda: print('freeze_count', gc.get_freeze_count(), file=sys.stderr)); "
@@ -156,8 +156,9 @@ FREEZE_PROBE = (
     ids=["estimate", "help", "usage-error", "parse-error"],
 )
 def test_command_process_freezes_the_collector_at_exit(tmp_path, args, code):
-    """Shutdown skips the collector's passes over what the command made, and
-    the exit code is the command's."""
+    """The heap frozen once loading ends is still frozen at exit, so
+    shutdown's collections skip it, on every way out of the parse, and the
+    exit code is the command's."""
     (tmp_path / "c.csv").write_text("# width=2 m=3 a=0.75\n0,1\n1,1\n0,0\n")
     (tmp_path / "bad.csv").write_text("# width=2 m=3 a=0.75\n0,1\n1,2\n0,0\n")
     argv = [arg.format(corpus=tmp_path / "c.csv", bad=tmp_path / "bad.csv") for arg in args]
@@ -231,7 +232,6 @@ def test_in_process_main_freezes_nothing(monkeypatch, tmp_path, capsys):
 def test_own_command_line_leaves_the_collector_as_found(monkeypatch, capsys, collecting):
     """Parsing the process's own command line turns the collector off while
     it loads and back to the state it found, on every way out of the parse."""
-    monkeypatch.setattr(atexit, "register", lambda *args, **kwargs: None)
     (gc.enable if collecting else gc.disable)()
     try:
         for argv, code in [(["bisymrr", "--help"], 0), (["bisymrr", "estimate"], 2)]:

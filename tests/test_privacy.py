@@ -84,6 +84,13 @@ class TestAForEpsilon:
         with pytest.raises(ValueError):
             a_for_epsilon(-1.0, 2)
 
+    def test_realizable_budgets_keep_their_a(self):
+        """Up to the largest budget a float channel realizes, a is exactly
+        e^eps / (1 + e^eps), as it was before larger budgets were refused."""
+        for eps in np.linspace(0.01, 36.8, 200).tolist():
+            t = math.exp(eps)
+            assert a_for_epsilon(eps, 1) == t / (1.0 + t)
+
     def test_always_honest_side_unless_asked(self):
         for eps in EPS_GRID:
             assert a_for_epsilon(eps, 2) > 0.5

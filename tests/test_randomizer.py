@@ -199,20 +199,29 @@ class TestCorpus:
 
     @pytest.mark.parametrize(
         "bits",
-        [[[256, 1]], [[1.5, 0.0]], [[-255, 1]], [[np.nan, 1.0]], [[-1, 0]], [[0.5, 1.0]]],
-        ids=["wraps-to-0", "truncates-to-1", "wraps-to-1", "nan", "negative", "half"],
+        [[[256, 1]], [[1.5, 0.0]], [[-255, 1]], [[np.nan, 1.0]], [[-1, 0]], [[0.5, 1.0]], [[2, 3]]],
+        ids=["wraps-to-0", "truncates-to-1", "wraps-to-1", "nan", "negative", "half", "above-one"],
     )
     def test_checks_values_before_casting(self, bits):
-        with pytest.raises(ValueError, match="0 or 1"):
+        """A corpus and a single record are refused alike, before the uint8
+        cast could wrap, truncate or zero an entry."""
+        message = "^corpus entries must all be 0 or 1$"
+        with pytest.raises(ValueError, match=message):
             ResponseCorpus(np.array(bits))
+        with pytest.raises(ValueError, match=message):
+            randomize(np.array(bits[0]), 0.7, RandomSeed(0))
 
     @pytest.mark.parametrize(
         "dtype", [bool, np.uint8, np.uint16, np.int8, np.int64, np.float32, np.float64]
     )
     def test_accepts_zero_one_in_any_numeric_dtype(self, dtype):
-        c = ResponseCorpus(np.array([[0, 1], [1, 1]], dtype=dtype))
+        bits = np.array([[0, 1], [1, 1]], dtype=dtype)
+        c = ResponseCorpus(bits)
         assert c.bits.dtype == np.uint8
         assert c.bits.tolist() == [[0, 1], [1, 1]]
+        batch = randomize_corpus(c, 0.6, RandomSeed(3)).bits
+        for j, record in enumerate(bits):
+            assert np.array_equal(randomize(record, 0.6, RandomSeed(3), index=j), batch[j])
 
     def test_shape_properties(self):
         c = ResponseCorpus(np.zeros((3, 2), dtype=np.uint8))
@@ -356,8 +365,10 @@ class TestRandomizeCorpus:
     def test_record_randomness_is_order_independent(self):
         # record j's uniforms depend on (seed, stream, j, width) alone
         seed = RandomSeed(11, 2)
-        direct = seed.record_uniforms(17, 3)
-        assert np.array_equal(direct, seed.generator().random((20, 3))[17])
+        batch = seed.generator().random((20, 3))
+        assert np.array_equal(seed._generator_at(17, 3).random(3), batch[17])
+        flips = randomize(np.zeros(3, dtype=np.uint8), 0.6, seed, index=17)
+        assert np.array_equal(flips, batch[17] >= 0.6)
 
     def test_recovers_distribution_end_to_end(self):
         # uniform-ish corpus through the channel: joint histogram ~ C @ pi
@@ -450,5 +461,7 @@ class TestRandomSeed:
             randomize(corpus.bits[0], float("nan"), RandomSeed(0))
 
     def test_record_uniform_bounds_checked(self):
-        with pytest.raises(ValueError):
-            RandomSeed(1).record_uniforms(-1, 2)
+        with pytest.raises(ValueError, match="record index"):
+            RandomSeed(1)._generator_at(-1, 2)
+        with pytest.raises(ValueError, match="record index"):
+            randomize(np.zeros(2, dtype=np.uint8), 0.7, RandomSeed(1), index=-1)
