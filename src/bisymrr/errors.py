@@ -83,8 +83,10 @@ def check_budget(eps: float) -> float:
 
 def check_count(value, name: str, minimum: int = 0) -> int:
     """An integer >= ``minimum``, returned as an int: integral floats (JSON
-    ``2.0``) pass, while 2.5, NaN, inf and booleans (JSON ``true``, numpy's
-    ``np.True_``) are refused rather than truncated or read as 1 and 0."""
+    ``2.0``) pass, while 2.5, NaN, inf, booleans (JSON ``true``, numpy's
+    ``np.True_``) and strings (JSON ``"3"``) are refused rather than
+    truncated or read as numbers.  A refused string is quoted in the message,
+    so it does not read as the number it spells."""
     try:
         # by type name, as this module imports no numpy: numpy 2 names its
         # boolean "bool", numpy 1 "bool_"
@@ -92,7 +94,8 @@ def check_count(value, name: str, minimum: int = 0) -> int:
     except (TypeError, ValueError, OverflowError):
         count = None
     if count is None or count != value or not count >= minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
+        shown = repr(value) if isinstance(value, str) else value
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {shown}")
     return count
 
 

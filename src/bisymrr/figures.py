@@ -25,8 +25,9 @@ capped at :data:`~bisymrr.errors.FIGURE_1A_CAP` and its block at
 time as they are written.  Figure functions return a column list and rows of
 plain Python values (``1a`` an iterator of them), which the CLI writes with
 :func:`~bisymrr.corpus_io.write_table`.  The settings each figure reads, and
-their defaults, are :data:`~bisymrr.parser.FIGURE_DEFAULTS`, beside the
-argument parser that offers them.
+the defaults the command gives them, are
+:data:`~bisymrr.parser.FIGURE_DEFAULTS`, beside the argument parser that
+offers them.
 """
 
 from __future__ import annotations
@@ -72,6 +73,12 @@ class ExperimentConfig:
     ``"dirichlet-flat"`` asking the harness to draw π itself.  ``k`` is the
     bounded Hamming distance for budget-indexed figures (per-bit budgets at
     the default 1), at most ``n``.
+
+    These field defaults are the library's.  ``bisymrr figures WHICH`` runs
+    ``ExperimentConfig.from_mapping(FIGURE_DEFAULTS[WHICH])`` (see
+    :data:`~bisymrr.parser.FIGURE_DEFAULTS`), which differs in two places:
+    figure 1a's ``pi`` is (0.05, 0.15, 0.3, 0.5), not a flat-Dirichlet draw,
+    and 2a and 2b run at ``n`` = 1, not 2.
     """
 
     n: int = 2
@@ -91,7 +98,12 @@ class ExperimentConfig:
             )
         if not isinstance(self.pi, str):
             try:
-                arr = np.asarray(self.pi, dtype=np.float64).reshape(-1)
+                cells = np.asarray(self.pi, dtype=object).reshape(-1)
+                # a boolean or a string would convert to a number; as with
+                # counts, JSON true and "0.5" are refused instead
+                if any(isinstance(cell, (bool, np.bool_, str, bytes)) for cell in cells):
+                    raise TypeError
+                arr = cells.astype(np.float64)
             except (TypeError, ValueError):
                 raise ValueError(f"pi must be numbers or {FLAT_DIRICHLET!r}, got {self.pi!r}") from None
             if arr.size != 1 << self.n:

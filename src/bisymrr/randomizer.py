@@ -28,8 +28,8 @@ import numpy as np
 from .errors import check_count, check_probability
 
 # Cells per block of each whole-corpus pass.  A pass holds its input, its
-# output and one block, and a flipping pass one block of float64 uniforms:
-# 512 KiB at 2^16 cells.
+# output and one block, and a flipping pass one block of raw 64-bit Philox
+# words: 512 KiB at 2^16 cells.
 BLOCK_CELLS = 1 << 16
 
 

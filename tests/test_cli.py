@@ -588,8 +588,10 @@ class TestFigures:
                 "got ['unrelated', 0.5]",
             ),
             ({"pi": {"a": 1}}, "pi must be numbers or 'dirichlet-flat', got {'a': 1}"),
+            ({"pi": [True, False]}, "pi must be numbers or 'dirichlet-flat', got [True, False]"),
+            ({"pi": ["0.5", "0.5"]}, "pi must be numbers or 'dirichlet-flat', got ['0.5', '0.5']"),
         ],
-        ids=["mechanism-int", "mechanism-list", "pi-object"],
+        ids=["mechanism-int", "mechanism-list", "pi-object", "pi-booleans", "pi-strings"],
     )
     def test_config_value_of_the_wrong_type_exits_2(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "cfg.json"
@@ -854,6 +856,19 @@ class TestClosedHoles:
         cfg.write_text(json.dumps(config))
         assert run(capsys, "figures", "1c", "--config", str(cfg)) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"trials": "2"}, "trials must be an integer >= 1, got '2'"),
+            ({"seed": "3"}, "seed must be an integer >= 0, got '3'"),
+        ],
+        ids=["trials", "seed"],
+    )
+    def test_string_config_count_exits_2_quoted(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run(capsys, "figures", "1c", "--config", str(cfg)) == (2, "", f"error: {message}\n")
+
     def test_integral_float_config_count_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"trials": 2.0, "seed": 9.0}))
@@ -1042,18 +1057,24 @@ class TestBlasThreads:
         path.write_text("# width=2 m=3 a=0.75\n0,1\n1,1\n0,0\n")
         return path
 
+    @staticmethod
+    def commands(corpus, tmp_path):
+        """A command that reads a corpus and one that reads none."""
+        out = ["--out", str(tmp_path / "out.csv")]
+        return [["estimate", str(corpus), *out], ["figures", "1a", "--trials", "5", *out]]
+
     def test_a_command_holds_one_thread(self, corpus, tmp_path):
-        out = str(tmp_path / "estimate.csv")
-        code, threads, numpy_loaded, names = self.child(["estimate", str(corpus), "--out", out])
-        assert (code, threads, numpy_loaded) == (0, 1, True)
-        assert names == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+        for argv in self.commands(corpus, tmp_path):
+            code, threads, numpy_loaded, names = self.child(argv)
+            assert (code, threads, numpy_loaded) == (0, 1, True), argv
+            assert names == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None}
 
     @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
     def test_a_count_the_user_sets_is_kept(self, corpus, tmp_path, name):
-        out = str(tmp_path / "estimate.csv")
-        code, _, _, names = self.child(["estimate", str(corpus), "--out", out], **{name: "2"})
-        assert code == 0
-        assert names == {n: "2" if n == name else None for n in self.NAMES}
+        for argv in self.commands(corpus, tmp_path):
+            code, _, _, names = self.child(argv, **{name: "2"})
+            assert code == 0, argv
+            assert names == {n: "2" if n == name else None for n in self.NAMES}
 
     def test_help_loads_no_numpy_and_sets_nothing(self):
         code, _, numpy_loaded, names = self.child(["--help"])
@@ -1062,10 +1083,10 @@ class TestBlasThreads:
 
 
 # Layouts the writer never produces but the reader accepts, each applied to a
-# whole corpus file (header lines carry no commas).  Text mode already reads a
-# CRLF file on disk as LF; the other two reach the reader's normalising step.
+# whole corpus file (header lines carry no commas).
 LAYOUTS = {
     "crlf": lambda text: text.replace("\n", "\r\n"),
+    "cr": lambda text: text.replace("\n", "\r"),
     "blank-lines": lambda text: text.replace("\n", "\n\n"),
     "spaces": lambda text: text.replace(",", " ,\t").replace("\n", " \n  "),
 }
@@ -1093,40 +1114,47 @@ class TestLenientInput:
 
 
 class TestWarnings:
-    def test_near_singular_estimate_warns_in_one_line(self, tmp_path):
+    MESSAGE = (
+        "a = 0.5004 is within 0.001 of 1/2; the inverse exists but is "
+        "astronomically ill-conditioned and estimates from it will be statistically useless\n"
+    )
+
+    @pytest.fixture
+    def near(self, tmp_path):
+        path = tmp_path / "near.csv"
+        path.write_text("# width=2 m=3 a=0.5004\n0,1\n1,1\n0,0\n")
+        return path
+
+    @staticmethod
+    def spawned(*argv, **env):
+        """``python -m bisymrr ARGV`` in a fresh process, ``env`` added to its environment."""
         import subprocess
         import sys
         from pathlib import Path
 
-        path = tmp_path / "near.csv"
-        path.write_text("# width=2 m=3 a=0.5004\n0,1\n1,1\n0,0\n")
         src = Path(__file__).resolve().parent.parent / "src"
-        proc = subprocess.run(
-            [sys.executable, "-m", "bisymrr", "estimate", str(path)],
+        return subprocess.run(
+            [sys.executable, "-m", "bisymrr", *argv],
             capture_output=True,
             text=True,
-            env=dict(os.environ, PYTHONPATH=str(src)),
+            env=dict(os.environ, PYTHONPATH=str(src), **env),
             timeout=120,
         )
+
+    def test_near_singular_estimate_warns_in_one_line(self, near):
+        proc = self.spawned("estimate", str(near))
         assert proc.returncode == 0
         assert proc.stdout.startswith("# width=2 m=3 a=0.50039999999999996 bits=0,1 projected=0\n")
-        assert proc.stderr == (
-            "warning: a = 0.5004 is within 0.001 of 1/2; the inverse exists but is "
-            "astronomically ill-conditioned and estimates from it will be statistically useless\n"
-        )
+        assert proc.stderr == f"warning: {self.MESSAGE}"
 
-
-    def test_warning_raised_as_an_error_exits_2_in_one_line(self, tmp_path, capsys):
-        path = tmp_path / "near.csv"
-        path.write_text("# width=2 m=3 a=0.5004\n0,1\n1,1\n0,0\n")
+    def test_warning_raised_as_an_error_exits_2_in_one_line(self, near, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run(capsys, "estimate", str(path))
-        assert (code, out) == (2, "")
-        assert err == (
-            "error: a = 0.5004 is within 0.001 of 1/2; the inverse exists but is "
-            "astronomically ill-conditioned and estimates from it will be statistically useless\n"
-        )
+            code, out, err = run(capsys, "estimate", str(near))
+        assert (code, out, err) == (2, "", f"error: {self.MESSAGE}")
+        # and in a process that loads everything under -W error
+        proc = self.spawned("estimate", str(near), PYTHONWARNINGS="error")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {self.MESSAGE}")
 
 
 # Output of the non-figure commands, byte for byte; figure datasets are pinned

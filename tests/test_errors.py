@@ -244,6 +244,11 @@ def test_messages_name_the_argument_and_value():
         check_probability(NAN, "q")
     with pytest.raises(ValueError, match=r"^trials must be an integer >= 1, got 2.5$"):
         check_count(2.5, "trials", 1)
+    # a string is quoted, so "3" does not read as the number 3 refused
+    with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got '3'$"):
+        check_count("3", "seed")
+    with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got 3.5$"):
+        check_count(3.5, "seed")
     with pytest.raises(SingularChannelError, match="^p = 1/2"):
         check_invertible(0.5, "p")
 

@@ -73,6 +73,23 @@ class TestExperimentConfig:
         assert cfg.pi == "dirichlet-flat"
         assert cfg.mechanism == Mechanism("unrelated", (0.5,))
 
+    def test_command_defaults_differ_from_the_fields_where_documented(self):
+        """``figures WHICH`` runs ``from_mapping(FIGURE_DEFAULTS[WHICH])``; it
+        departs from ``ExperimentConfig()`` only in 1a's pi and 2a's and 2b's n."""
+        def settings(cfg):
+            pi = cfg.pi if isinstance(cfg.pi, str) else tuple(cfg.pi.tolist())
+            return {"n": cfg.n, "m": cfg.m, "trials": cfg.trials, "k": cfg.k, "pi": pi,
+                    "mechanism": cfg.mechanism, "seed": cfg.seed.seed, "stream": cfg.seed.stream}
+
+        fields = settings(ExperimentConfig())
+        differ = {
+            which: {key for key, value in settings(default_cfg(which)).items() if value != fields[key]}
+            for which in FIGURE_DEFAULTS
+        }
+        assert differ == {"1a": {"pi"}, "1b": set(), "1c": set(), "2a": {"n"}, "2b": {"n"}}
+        assert default_cfg("1a").pi.tolist() == [0.05, 0.15, 0.3, 0.5]
+        assert default_cfg("2a").n == default_cfg("2b").n == 1
+
     def test_pi_vector_validated(self):
         cfg = ExperimentConfig(n=1, pi=[0.3, 0.7])
         assert np.array_equal(cfg.pi, [0.3, 0.7])
@@ -82,6 +99,10 @@ class TestExperimentConfig:
             ExperimentConfig(n=1, pi=[0.5, 0.6])
         with pytest.raises(ValueError, match="dirichlet-flat"):
             ExperimentConfig(pi="uniformish")
+        # booleans and strings would convert to numbers, but are none
+        for cells in ([True, False], np.array([True, False]), ["0.5", "0.5"], [1, False]):
+            with pytest.raises(ValueError, match="^pi must be numbers or 'dirichlet-flat', got "):
+                ExperimentConfig(n=1, pi=cells)
 
     def test_count_validation(self):
         for bad in ({"n": 0}, {"m": 0}, {"trials": 0}, {"k": 0}):

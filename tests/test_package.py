@@ -149,11 +149,12 @@ FREEZE_PROBE = (
     "args, code",
     [
         (("estimate", "{corpus}"), 0),
+        (("figures", "1a", "--trials", "2"), 0),
         (("--help",), 0),
         (("estimate",), 2),
         (("estimate", "{bad}"), 4),
     ],
-    ids=["estimate", "help", "usage-error", "parse-error"],
+    ids=["estimate", "figures", "help", "usage-error", "parse-error"],
 )
 def test_command_process_freezes_the_collector_at_exit(tmp_path, args, code):
     """The heap frozen once loading ends is still frozen at exit, so
